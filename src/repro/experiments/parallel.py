@@ -30,6 +30,7 @@ import dataclasses
 import multiprocessing
 import os
 import traceback
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -510,9 +511,10 @@ class ShardPool:
         context = multiprocessing.get_context()
         self._conns: list[Connection] = []
         self._procs: list[multiprocessing.process.BaseProcess] = []
-        #: Replies owed per shard (requests sent minus replies read);
-        #: :meth:`close` drains this before the shutdown sentinel.
-        self._pending: list[int] = []
+        #: Per shard, the methods whose replies are still owed, in send
+        #: order; :meth:`close` drains them before the shutdown
+        #: sentinel, and a dead worker's error names the oldest.
+        self._pending: list[deque[str]] = []
         self._parent_tracer = obs.TRACER
         self._parent_profiler = prof.PROFILER
         self._trace_shards: list[str] = []
@@ -542,7 +544,7 @@ class ShardPool:
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(process)
-            self._pending.append(1)  # the construction ack below
+            self._pending.append(deque(["__init__"]))  # the ack below
         # Construction barrier: surface builder failures immediately.
         for index in range(len(self._conns)):
             self._receive(index)
@@ -556,9 +558,30 @@ class ShardPool:
         return (self._parent_profiler is not None
                 or bool(self._trace_shards))
 
+    def _worker_died(self, shard: int, method: str | None,
+                     exc: BaseException) -> ShardPoolError:
+        """The error for a worker whose pipe broke (it died)."""
+        process = self._procs[shard]
+        process.join(timeout=1.0)
+        return ShardPoolError(
+            f"shard {shard} worker died (exitcode {process.exitcode}) "
+            f"with {method!r} pending: {type(exc).__name__}: {exc}")
+
+    def _send(self, shard: int, method: str, args: tuple[Any, ...]) -> None:
+        try:
+            self._conns[shard].send((method, args))
+        except OSError as exc:
+            raise self._worker_died(shard, method, exc) from exc
+        self._pending[shard].append(method)
+
     def _receive(self, shard: int) -> Any:
-        status, payload = self._conns[shard].recv()
-        self._pending[shard] -= 1
+        pending = self._pending[shard]
+        try:
+            status, payload = self._conns[shard].recv()
+        except (EOFError, OSError) as exc:
+            raise self._worker_died(
+                shard, pending[0] if pending else None, exc) from exc
+        pending.popleft()
         if status != "ok":
             raise ShardPoolError(
                 f"shard {shard} worker failed:\n{payload}")
@@ -566,8 +589,7 @@ class ShardPool:
 
     def call(self, shard: int, method: str, *args: Any) -> Any:
         """Invoke ``method(*args)`` on one shard's state (blocking)."""
-        self._conns[shard].send((method, args))
-        self._pending[shard] += 1
+        self._send(shard, method, args)
         return self._receive(shard)
 
     def send(self, shard: int, method: str, *args: Any) -> None:
@@ -579,15 +601,14 @@ class ShardPool:
         the parent's own work.  Every ``send`` must be paired with
         exactly one :meth:`recv` on the same shard, in send order.
         """
-        self._conns[shard].send((method, args))
-        self._pending[shard] += 1
+        self._send(shard, method, args)
 
     def recv(self, shard: int) -> Any:
         """Collect ``shard``'s next pending reply (blocking).
 
         Replies come back in the order the requests were sent to that
-        shard; a worker-side exception surfaces here as
-        :class:`ShardPoolError`.
+        shard; a worker-side exception, or the worker's death, surfaces
+        here as :class:`ShardPoolError`.
         """
         return self._receive(shard)
 
@@ -603,10 +624,8 @@ class ShardPool:
             raise ValueError(
                 f"need one args tuple per shard "
                 f"({len(per_shard_args)} != {len(self._conns)})")
-        for index, (conn, args) in enumerate(zip(self._conns,
-                                                 per_shard_args)):
-            conn.send((method, args))
-            self._pending[index] += 1
+        for index, args in enumerate(per_shard_args):
+            self._send(index, method, args)
         return [self._receive(index) for index in range(len(self._conns))]
 
     # -- observability drain -------------------------------------------
@@ -651,14 +670,14 @@ class ShardPool:
         this runs only on the way down.
         """
         for index, conn in enumerate(self._conns):
-            while self._pending[index] > 0:
+            while self._pending[index]:
                 try:
                     if not conn.poll(timeout_s):
                         break  # pragma: no cover - wedged worker
                     conn.recv()
                 except (EOFError, OSError):
                     break
-                self._pending[index] -= 1
+                self._pending[index].popleft()
 
     def _final_obs_drain(self, timeout_s: float = 10.0) -> None:
         """Best-effort :data:`DRAIN_OBS` sweep before shutdown.
@@ -673,10 +692,10 @@ class ShardPool:
             payload = None
             try:
                 conn.send((DRAIN_OBS, ()))
-                self._pending[index] += 1
+                self._pending[index].append(DRAIN_OBS)
                 if conn.poll(timeout_s):
                     status, reply = conn.recv()
-                    self._pending[index] -= 1
+                    self._pending[index].popleft()
                     if status == "ok":
                         payload = reply
             except (BrokenPipeError, EOFError, OSError):

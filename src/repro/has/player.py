@@ -211,9 +211,9 @@ class HasPlayer:
             return self._active.ladder_index
         if self._pending is not None:
             return self._pending.ladder_index
-        if len(self.log) > 0:
-            return self.mpd.ladder.highest_at_most(
-                self.log.records[-1].bitrate_bps)
+        bitrate = self.log.last_bitrate()
+        if bitrate is not None:
+            return self.mpd.ladder.highest_at_most(bitrate)
         return None
 
     # ------------------------------------------------------------------
@@ -364,9 +364,9 @@ class HasPlayer:
 
     def _build_context(self, now_s: float) -> AbrContext:
         last_index: int | None = None
-        if len(self.log) > 0:
-            last_index = self.mpd.ladder.highest_at_most(
-                self.log.records[-1].bitrate_bps)
+        bitrate = self.log.last_bitrate()
+        if bitrate is not None:
+            last_index = self.mpd.ladder.highest_at_most(bitrate)
         return AbrContext(
             now_s=now_s,
             ladder=self.mpd.ladder,

@@ -59,10 +59,14 @@ class SegmentLog:
 
     def __init__(self) -> None:
         self._records: list[SegmentRecord] = []
+        # ``throughput_bps`` of each record, computed once on append:
+        # every ABR decision reads the whole history.
+        self._throughputs: list[float] = []
 
     def append(self, record: SegmentRecord) -> None:
         """Add a completed segment record."""
         self._records.append(record)
+        self._throughputs.append(record.throughput_bps)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -91,7 +95,6 @@ class SegmentLog:
         Args:
             last: if positive, only the most recent ``last`` samples.
         """
-        samples = [record.throughput_bps for record in self._records]
         if last > 0:
-            return samples[-last:]
-        return samples
+            return self._throughputs[-last:]
+        return list(self._throughputs)

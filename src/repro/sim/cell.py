@@ -303,8 +303,9 @@ class Cell:
         multiple controllers never steal each other's reports.
         """
         if self._kernel is not None:
-            # Mid-run callers (controllers, hooks) already see flushed
-            # state; this covers direct external calls.
+            # Mutating controllers already see flushed state (and
+            # observers never call this); this covers direct external
+            # calls.
             self._kernel.flush()
         key = id(consumer)
         previous, previous_time = self._usage_snapshots.get(key, ({}, 0.0))
@@ -372,7 +373,13 @@ class Cell:
                 next_due[0] += float(controller.interval_s)
 
     def step(self) -> None:
-        """Advance the simulation by one fluid MAC step."""
+        """Advance the simulation by one fluid MAC step.
+
+        The TTI kernel takes the step unless it declines (kernel
+        disabled, an unmirrorable configuration, or an armed tracer,
+        checker, profiler or step hook); the object loop below is the
+        instrumented reference that serves those runs.
+        """
         kernel = self._active_kernel()
         if kernel is not None and kernel.step():
             return

@@ -11,27 +11,38 @@ arithmetic does, which caps how many UEs a study can simulate.
 (congestion windows, delivered-byte totals, PF served averages, RB
 trace accumulators, GBR/MBR byte budgets, per-UE channel working
 points) is mirrored into flat parallel arrays — one slot per flow, in
-attachment order — and one fused function computes the channel→TBS
-chain, both Priority Set scheduling phases (GBR pass + proportional-
-fair waterfill) and MAC delivery over those arrays.  Cyclic-channel
-populations are evaluated as one batched array operation (numpy when
-importable, a plain loop over the same ``array('d')`` parameter blocks
-otherwise).  Results are flushed back into the existing ``Flow`` /
-``Allocation`` / ``RbTraceModule`` objects at every observation
-boundary, so everything outside the hot loop keeps seeing the object
-world it was written against.
+attachment order — and one step function (``_step_fast``) computes
+the channel→TBS chain, both Priority Set scheduling phases (GBR pass +
+proportional-fair waterfill) and MAC delivery over the slots that can
+act, replaying provably inert stretches lazily.  Dense active sets
+switch the MAC phase onto a full-width numpy lane (``_vec_step``).
+Results are flushed back into the existing ``Flow`` / ``Allocation``
+/ ``RbTraceModule`` objects at every observation boundary, so
+everything outside the hot loop keeps seeing the object world it was
+written against.
 
 **The mirroring contract.**  Object state is authoritative at every
 *observation boundary*; array state is authoritative strictly between
 them.  Boundaries are: interval-controller firings, segment-completion
-callbacks, step hooks, public ``Cell.step()`` returns, and the end of
+callbacks, public ``Cell.step()`` returns, and the end of
 ``Cell.run()``.  The kernel flushes mirrors to objects immediately
 before each boundary and reloads them immediately after, so controller
 code, ABR callbacks, tests and metrics collectors never observe a
-stale object.  Anything the kernel cannot faithfully mirror (a custom
-scheduler, flow, TCP or player subclass) makes the cell fall back to
-the object path for the whole run — silently, and detectably via
-:attr:`TtiKernel.active`.
+stale object.  *Observer* controllers (exact type in
+:data:`OBSERVER_TYPES`, today the metrics sampler) are the one
+exception: they only read flow totals and buffer levels, so the kernel
+refreshes exactly those in place and keeps lazy players parked and
+the vector lane gathered across the firing.  Anything the kernel
+cannot faithfully mirror (a custom scheduler, flow, TCP or player
+subclass, a channel overriding ``bytes_per_prb_at``) makes the cell
+fall back to the object path for the whole run — silently, and
+detectably via :attr:`TtiKernel.active`.
+
+**Instrumented runs use the object path.**  An armed tracer, invariant
+checker or span profiler, and any registered step hook, make
+:meth:`TtiKernel.step` / :meth:`TtiKernel.run` decline, and the cell
+steps its fully instrumented object loop instead — the reference the
+differential tests compare the kernel against.
 
 **Exactness.**  The kernel is differentially tested to produce
 *byte-identical* serialized ``CellReport``s to the object path.  Every
@@ -45,13 +56,13 @@ change, the differential tests in ``tests/sim/test_kernel.py`` fail.
 
 **Idle fast-forward.**  When no flow is backlogged and nothing is due
 — every player finished or not yet started, every TCP window already
-collapsed to its restart value, no tracer, no step hooks — the kernel
-advances the clock in one stride to the next controller deadline,
-player start time or run end instead of stepping empty TTIs.  The one
-intentionally unmirrored quantity is ``FluidTcp._idle_for_s``, which
-would keep growing past ``idle_reset_s`` during skipped steps; its
-magnitude above the reset threshold is unobservable (the window is
-already reset, and the counter rezeroes on the next backlogged step).
+collapsed to its restart value — the kernel advances the clock in one
+stride to the next controller deadline, player start time or run end
+instead of stepping empty TTIs.  The one intentionally unmirrored
+quantity is ``FluidTcp._idle_for_s``, which would keep growing past
+``idle_reset_s`` during skipped steps; its magnitude above the reset
+threshold is unobservable (the window is already reset, and the
+counter rezeroes on the next backlogged step).
 
 Selection: the fast path is on by default; ``REPRO_KERNEL=0`` (env),
 ``--no-kernel`` (CLI) or :func:`kernel_mode` disable it.
@@ -75,7 +86,7 @@ from repro.mac.priority_set import PrioritySetScheduler
 from repro.mac.rb_trace import RbTraceModule
 from repro.net.flows import DataFlow, Flow, VideoFlow
 from repro.net.tcp import FluidTcp
-from repro.obs import events as obs_events
+from repro.metrics.collector import MetricsSampler
 from repro.obs import prof
 from repro.obs import tracer as obs
 from repro.phy.channel import (
@@ -83,12 +94,7 @@ from repro.phy.channel import (
     CyclicItbsChannel,
     StaticItbsChannel,
 )
-from repro.phy.tbs import (
-    BYTES_PER_PRB_TABLE,
-    MAX_ITBS,
-    MIN_ITBS,
-    validate_itbs,
-)
+from repro.phy.tbs import BYTES_PER_PRB_TABLE, validate_itbs
 from repro.sim.engine import earliest_due
 from repro.util import require_positive, sequential_replay
 
@@ -112,23 +118,25 @@ _DISABLED_VALUES = frozenset({"0", "false", "off", "no"})
 #: :func:`kernel_mode`); mirrors the ``full_mode`` pattern.
 _FORCED: Optional[bool] = None
 
-#: Minimum cyclic-channel population for the batched numpy evaluation;
-#: below this the per-slot loop wins (no array round-trip overhead).
-MIN_BULK_CYCLIC = 32
+#: Interval controllers that only *read* the object graph (flow
+#: totals, buffer levels, segment logs), matched by exact type so a
+#: subclass that might mutate is treated as an ordinary controller.
+#: They fire inside the fast step without draining lazy state.
+OBSERVER_TYPES = frozenset({MetricsSampler})
 
-# Per-slot channel evaluation strategies.
+# Per-slot channel evaluation strategies.  A channel overriding
+# ``bytes_per_prb_at`` has none: the cell runs on the object path.
 _CONST = 0    # StaticItbsChannel: bytes/PRB is a constant
 _PLAIN = 1    # base-class bytes_per_prb_at: itbs_at() + table lookup
-_GENERIC = 2  # channel overrides bytes_per_prb_at: call it
-_CYCLIC = 3   # CyclicItbsChannel: batched triangular sweep
+_CYCLIC = 2   # CyclicItbsChannel: inline triangular sweep
 # Primed per-epoch iTbs tables (duck-typed via KERNEL_PRIMED_ITBS, see
 # repro.sim.network.MetroChannel): refreshed once per fading bucket
 # instead of one itbs_at() call per slot per step.
-_TABLE = 4
+_TABLE = 3
 
 # Lazy-playback classes for the event-driven fast step (_step_fast).
-# A HOT player is processed scalarly every step, exactly like
-# ``_step_once`` would; the other classes are provably-inert stretches
+# A HOT player is processed scalarly every step, exactly like the
+# object path; the other classes are provably-inert stretches
 # whose per-step effects are replayed (with the same float operations,
 # in the same order) when the player is next observed.
 _PL_HOT = 0    # per-step scalar processing
@@ -181,7 +189,8 @@ KERNEL_UNMIRRORED: dict[str, str] = {  # flarelint: disable=FL009
     "Cell._players": "topology; mutation invalidates the kernel (rebuild)",
     "Cell._ladders": "topology; mutation invalidates the kernel (rebuild)",
     "Cell._controllers": "topology; mutation invalidates the kernel (rebuild)",
-    "Cell._step_hooks": "topology; mutation invalidates the kernel (rebuild)",
+    "Cell._step_hooks": "read live every step: any registered hook sends "
+                        "the cell to the object path",
     "Cell._usage_snapshots": "observation-boundary output; appended by "
                              "boundary code while objects are authoritative",
     # -- Player/buffer state: the kernel never simulates these
@@ -314,12 +323,9 @@ class TtiKernel:
         # Per-slot static structure (rebuilt on topology change).
         self._flows: list[Flow] = []
         self._flow_ids: list[int] = []
-        self._ue_ids: list[int] = []
-        self._kind_values: list[str] = []
         self._videos: list[Optional[VideoFlow]] = []
         self._channels: list[ChannelModel] = []
         self._ch_mode: list[int] = []
-        self._const_itbs: list[int] = []
         self._const_bpp: list[float] = []
         self._tcps: list[FluidTcp] = []
         # Per-slot TCP constants (hoisted, never re-associated).
@@ -360,7 +366,10 @@ class TtiKernel:
         self._cyc_lo = array("d")
         self._cyc_hi = array("d")
         self._cyc_span = array("d")
-        self._cyc_itbs: list[int] = []
+        # Plain channels, queried on every slot at controller steps
+        # (see ``_fire_boundary``) and on public steps.
+        self._plain_slots: list[int] = []
+        self._query_all = False
         # Primed-table channels: refreshed once per fading bucket.
         self._tbl_slots: list[int] = []
         self._tbl_channels: list[Any] = []
@@ -374,8 +383,6 @@ class TtiKernel:
         self._demand: list[float] = []
         self._alloc_prbs: list[float] = []
         self._alloc_bytes: list[float] = []
-        self._alloc_gbr: list[float] = []
-        self._gbr_granted: list[bool] = []
         # Single-load bundle of the per-slot arrays (see _rebuild).
         self._hot: tuple[list[Any], ...] = ()
         # Event-driven fast-step state (see _step_fast).  ``_fast_steps``
@@ -383,7 +390,6 @@ class TtiKernel:
         # record the counter value they are synchronised through, and
         # the difference is the number of owed per-step effects to
         # replay at the next observation.
-        self._fast_modes_ok = False
         self._fast_steps = 0
         self._act_slots: list[int] = []      # sorted maybe-backlogged slots
         self._act_member: list[bool] = []
@@ -454,12 +460,17 @@ class TtiKernel:
         """Advance one fluid step on the fast path.
 
         Returns ``False`` (objects authoritative, nothing advanced
-        beyond already-fired controllers) when unsupported.
+        beyond already-fired controllers) when unsupported or when the
+        step must run on the instrumented object path.
         """
-        if not self._enter():
+        if self._object_only() or not self._enter():
             return False
-        while not self._step_once():
-            if not self._sync():
+        # The object path queries every channel on every step; a public
+        # step keeps that query schedule for the plain channels.
+        self._query_all = True
+        while not self._step_fast():
+            if self._object_only() or not self._sync():
+                self.flush()
                 return False
         self.flush()
         return True
@@ -468,28 +479,41 @@ class TtiKernel:
         """Drive the whole run loop on the fast path.
 
         Returns ``False`` when the configuration is (or mid-run
-        becomes) unsupported; the caller's object loop continues from
-        the current ``now_s``.
+        becomes) unsupported, or an observability mode or step hook
+        is armed; the caller's object loop continues from the current
+        ``now_s``.
         """
-        if not self._enter():
+        if self._object_only() or not self._enter():
             return False
         cell = self._cell
         end_gate = duration_s - 1e-9
         # Bearer-registry changes can only originate at observation
-        # boundaries (controller fires, completion callbacks, step
-        # hooks), and ``_step_once`` resyncs after each of those — so
-        # the loop here checks only for topology/scheduler changes.
+        # boundaries (controller fires, completion callbacks), and
+        # ``_step_fast`` resyncs after each of those — so the loop here
+        # checks only for topology/scheduler changes.
         while cell._now_s < end_gate:
+            if self._object_only():
+                self.flush()
+                return False
             if self._dirty or cell.scheduler is not self._sched_obj:
                 if not self._sync():
                     return False
             if self._last_idle and self._try_fast_forward(end_gate):
                 continue
-            if self._fast_modes_ok and self._step_fast():
-                continue
-            self._step_once()
+            self._step_fast()
         self.flush()
         return True
+
+    def _object_only(self) -> bool:
+        """True when this step must run on the instrumented object path.
+
+        Per-step observability (tracer events, sanitizer checks,
+        profiler spans) and step hooks are served by the object loop,
+        which is the reference the kernel is tested against.
+        """
+        return bool(self._cell._step_hooks
+                    or obs.TRACER is not None or chk.CHECKER is not None
+                    or prof.PROFILER is not None)
 
     def flush(self) -> None:
         """Write array mirrors back into the object graph.
@@ -577,6 +601,7 @@ class TtiKernel:
         # public kernel entries, so the per-bucket iTbs snapshot must
         # be re-read on the first step of every entry.
         self._tbl_bucket = None
+        self._query_all = False
         return True
 
     def _sync(self) -> bool:
@@ -616,6 +641,12 @@ class TtiKernel:
                 return False
             if type(flow.tcp) is not FluidTcp:
                 return False
+            if (type(flow.ue.channel).bytes_per_prb_at
+                    is not ChannelModel.bytes_per_prb_at):
+                # A channel with its own bytes_per_prb_at (e.g. an
+                # outage wrapper) is queried per slot per step by the
+                # object path only.
+                return False
             if flow.flow_id in cell._players:
                 players_seen += 1
         if players_seen != len(cell._players):
@@ -642,8 +673,6 @@ class TtiKernel:
         self._n = n
         self._sched_obj = sched
         self._flow_ids = [flow.flow_id for flow in flows]
-        self._ue_ids = [flow.ue.ue_id for flow in flows]
-        self._kind_values = [flow.kind.value for flow in flows]
         self._videos = [flow if type(flow) is VideoFlow else None
                         for flow in flows]
         step_s = self._step_s
@@ -656,7 +685,6 @@ class TtiKernel:
         self._idle_reset = [tcp.idle_reset_s for tcp in self._tcps]
         self._channels = [flow.ue.channel for flow in flows]
         self._ch_mode = [0] * n
-        self._const_itbs = [0] * n
         self._const_bpp = [0.0] * n
         self._cyc_slots = []
         self._cyc_off = array("d")
@@ -668,10 +696,10 @@ class TtiKernel:
         self._tbl_channels = []
         self._tbl_period = 0.0
         self._tbl_bucket = None
+        self._plain_slots = []
         for i, channel in enumerate(self._channels):
             if type(channel) is StaticItbsChannel:
                 self._ch_mode[i] = _CONST
-                self._const_itbs[i] = channel._itbs
                 self._const_bpp[i] = BYTES_PER_PRB_TABLE[channel._itbs]
             elif type(channel) is CyclicItbsChannel:
                 self._ch_mode[i] = _CYCLIC
@@ -685,12 +713,9 @@ class TtiKernel:
                 self._ch_mode[i] = _TABLE
                 self._tbl_slots.append(i)
                 self._tbl_channels.append(channel)
-            elif (type(channel).bytes_per_prb_at
-                  is ChannelModel.bytes_per_prb_at):
-                self._ch_mode[i] = _PLAIN
             else:
-                self._ch_mode[i] = _GENERIC
-        self._cyc_itbs = [0] * len(self._cyc_slots)
+                self._ch_mode[i] = _PLAIN
+                self._plain_slots.append(i)
         self._tbl_itbs = [0] * len(self._tbl_slots)
         self._zeros = [0.0] * n
         self._bpp = [0.0] * n
@@ -698,8 +723,6 @@ class TtiKernel:
         self._demand = [0.0] * n
         self._alloc_prbs = [0.0] * n
         self._alloc_bytes = [0.0] * n
-        self._alloc_gbr = [0.0] * n
-        self._gbr_granted = [False] * n
         self._cwnd = [0.0] * n
         self._idle = [0.0] * n
         self._totals = [0.0] * n
@@ -713,10 +736,7 @@ class TtiKernel:
         self._cum_seen = [False] * n
         self._dirty = False
         self._ready = True
-        # Event-driven fast-step maps and state.  Stateful _GENERIC
-        # channels must see one bytes_per_prb_at() call per step, which
-        # only the reference step guarantees.
-        self._fast_modes_ok = _GENERIC not in self._ch_mode
+        # Event-driven fast-step maps and state.
         self._fast_steps = 0
         self._act_stale = True
         self._act_slots = []
@@ -742,17 +762,17 @@ class TtiKernel:
         self._pl_wake_min = math.inf
         self._resync_registry()
         self._reload_mutable()
-        # One-load bundle of every per-slot array the fused step touches
-        # each step; ``_step_once`` unpacks it in a single statement
-        # instead of ~30 attribute loads per step.  Everything in here
-        # is mutated in place (never rebound) until the next rebuild.
+        # One-load bundle of every per-slot array the scalar MAC phase
+        # touches each step; ``_step_fast`` unpacks it in a single
+        # statement instead of ~30 attribute loads per step.  Everything
+        # in here is mutated in place (never rebound) until the next
+        # rebuild.
         self._hot = (
             self._ch_mode, self._const_bpp, self._bpp, self._wanted,
             self._demand, self._videos, self._channels, self._cwnd,
             self._step_over_rtt, self._mbr_cap, self._pf_avg,
             self._pf_seen, self._alloc_prbs, self._alloc_bytes,
-            self._alloc_gbr, self._gbr_granted, self._zeros,
-            self._totals, self._idle, self._idle_reset, self._init_cwnd,
+            self._zeros, self._totals, self._idle, self._init_cwnd,
             self._max_cwnd, self._growth, self._rtt_over_step,
             self._int_prbs, self._int_bytes, self._cum_prbs,
             self._cum_bytes, self._int_seen, self._cum_seen,
@@ -871,16 +891,12 @@ class TtiKernel:
         """Stride the clock over provably-empty steps.
 
         Returns True when at least one step was skipped.  Refuses
-        whenever any per-step work could be observable: a tracer emits
-        per-step events, step hooks run every step, a backlogged or
+        whenever any per-step work could be observable: a backlogged or
         mid-reset flow evolves TCP state, and a started-but-unfinished
-        player drains its buffer.
+        player drains its buffer.  (Tracers and step hooks never reach
+        here: they run on the object path.)
         """
         cell = self._cell
-        if cell._step_hooks:
-            return False
-        if obs.TRACER is not None:
-            return False
         videos = self._videos
         idle = self._idle
         reset = self._idle_reset
@@ -927,6 +943,9 @@ class TtiKernel:
             return False
         cell._now_s = now
         self._ff_steps += skipped
+        # A controller step whose rebuild deferred it may be skipped
+        # here; its channel queries are skipped with it.
+        self._query_all = False
         return True
 
     # ------------------------------------------------------------------
@@ -1453,26 +1472,31 @@ class TtiKernel:
         if mode == _PL_HOT or owed <= 0:
             return
         step_s = self._step_s
-        buffer = info[1]
         if mode == _PL_PLAY:
-            level = buffer._level_s
-            player._trace_runs.append(
-                ["p", self._pl_clock[j], level, owed, step_s])
-            played = buffer._total_played_s
-            for _ in range(owed):
-                level -= step_s
-                played += step_s
-            buffer._level_s = level
-            buffer._total_played_s = played
+            self._pl_drain(j, owed)
         elif mode == _PL_START or mode == _PL_STALL:
             player._trace_runs.append(
-                ["c", self._pl_clock[j], buffer._level_s, owed, step_s])
+                ["c", self._pl_clock[j], info[1]._level_s, owed, step_s])
             if mode == _PL_STALL:
                 rebuffer = player._rebuffer_s
                 for _ in range(owed):
                     rebuffer += step_s
                 player._rebuffer_s = rebuffer
         # _PL_INERT: no per-step effects beyond _step_end_s.
+
+    def _pl_drain(self, j: int, owed: int) -> None:
+        """Replay ``owed`` draining steps of lazy PLAYING player ``j``."""
+        player, buffer = self._issue_info[j][:2]
+        step_s = self._step_s
+        level = buffer._level_s
+        player._trace_runs.append(
+            ["p", self._pl_clock[j], level, owed, step_s])
+        played = buffer._total_played_s
+        for _ in range(owed):
+            level -= step_s
+            played += step_s
+        buffer._level_s = level
+        buffer._total_played_s = played
 
     def _pl_promote(self, now: float) -> None:
         """Wake lazy players whose next scalar attention may be due."""
@@ -1564,10 +1588,71 @@ class TtiKernel:
             self._pl_wake_min = wake
         return True
 
-    def _step_fast(self) -> bool:
-        """One steady-state step running only provably-observable work.
+    def _fire_boundary(self, now: float) -> bool:
+        """Fire the due interval controllers at the top of a step.
 
-        Exactness relative to ``_step_once``: the skipped work is
+        When every due controller is an observer (:data:`OBSERVER_TYPES`)
+        only the state they read is refreshed (:meth:`_observe`) and
+        the step continues with lazy players parked and the vector lane
+        gathered.  Any other controller gets the full boundary: drain
+        and flush, fire, then resync and reload the mirrors.
+
+        Returns ``False`` — controllers fired, objects authoritative —
+        when the firing changed the topology or scheduler (the caller
+        rebuilds, then retries the step) or armed object-path
+        observability.
+        """
+        cell = self._cell
+        # The object path's scheduler queries every channel on every
+        # step; controller steps keep that query schedule for the plain
+        # channels, whose lazily drawn mobility/fading state depends on
+        # it (see ``_step_fast``).
+        self._query_all = True
+        gate = now + 1e-12
+        if all(type(controller) in OBSERVER_TYPES
+               for controller, next_due in cell._controllers
+               if next_due[0] <= gate):
+            self._observe(now)
+            cell._fire_due_controllers()
+            return True
+        self.flush()
+        cell._fire_due_controllers()
+        if (self._dirty or cell.scheduler is not self._sched_obj
+                or self._object_only()):
+            return False
+        if cell.registry.version != self._reg_version:
+            self._resync_registry()
+        self._reload_mutable()
+        return True
+
+    def _observe(self, now: float) -> None:
+        """Refresh what observer controllers read; lazy state stays parked.
+
+        Observers read flow totals and buffer levels.  Totals are
+        written from the mirrors (the vector lane's shadow for its
+        slots).  Each lazy PLAYING player's owed drain is replayed and
+        its lazy run restarted at ``now``: the two run entries decode
+        to the same per-step buffer trace as one (``t += step`` from
+        the cell clock), and the player keeps its wake bound.  Other
+        lazy classes hold a constant buffer level.
+        """
+        totals = self._totals
+        if self._vec_hot:
+            totals = np.where(self._v_mask, self._v_totals, totals).tolist()
+        for flow, total in zip(self._flows, totals):
+            flow.total_delivered_bytes = total
+        steps = self._fast_steps
+        sync = self._pl_sync
+        for j, mode in enumerate(self._pl_mode):
+            if mode == _PL_PLAY and sync[j] != steps:
+                self._pl_drain(j, steps - sync[j])
+                sync[j] = steps
+                self._pl_clock[j] = now
+
+    def _step_fast(self) -> bool:
+        """One fluid step running only provably-observable work.
+
+        Exactness relative to the object path: the skipped work is
         (a) issue-gate evaluations for lazy players, whose wake bounds
         prove the gate cannot fire; (b) ``totals[i] += 0.0`` and the
         RB-trace/PF no-ops for unbacklogged slots; (c) idle-TCP
@@ -1579,26 +1664,20 @@ class TtiKernel:
         GBR bearers run the same two-phase schedule as the reference:
         phase 1 walks ``_gbr_slots`` in bearer-priority order and
         phase 2 rebuilds the PF candidate set from the post-GBR
-        residual demand, exactly as ``_step_once`` does when
-        ``fused_cand`` is false.
+        residual demand.
 
-        Returns ``False`` — after replaying all lazy state, with
-        mirrors still authoritative — when the step needs the
-        reference path: a due controller, step hooks, or any
-        observability mode (tracer, checker, profiler all pin the
-        reference kernel so their per-step effects stay exact).
+        Returns ``False`` — nothing stepped — when firing the due
+        controllers changed the topology or armed object-path
+        observability (see :meth:`_fire_boundary`); callers check
+        :meth:`_object_only` before each step.
         """
         cell = self._cell
-        if (cell._step_hooks
-                or obs.TRACER is not None or chk.CHECKER is not None
-                or prof.PROFILER is not None):
-            self._fast_drain()
-            return False
         now = cell._now_s
         for _controller, next_due in cell._controllers:
             if next_due[0] <= now + 1e-12:
-                self._fast_drain()
-                return False
+                if not self._fire_boundary(now):
+                    return False
+                break
         step_s = self._step_s
         end = now + step_s
         self._mirrors_hot = True
@@ -1662,6 +1741,13 @@ class TtiKernel:
             if bucket != self._tbl_bucket:
                 self._fill_table(now, bucket)
                 self._tbl_bucket = bucket
+        if self._query_all:
+            # Controller or public step: query every plain channel, not
+            # only the backlogged ones, as the object path does.
+            self._query_all = False
+            channels = self._channels
+            for i in self._plain_slots:
+                channels[i].itbs_at(now)
         if self._vec_hot:
             # --- Vectorised MAC phase (claims .. completions). -------
             active_any = self._vec_step(now, end, step_s)
@@ -1669,10 +1755,9 @@ class TtiKernel:
             # --- Claims over the maybe-backlogged set. ---------------
             (modes, const_bpp, bpp, wanted, demand, videos_h, channels,
              cwnd, step_over_rtt, mbr_cap, pf_avg, pf_seen, alloc_prbs,
-             alloc_bytes, alloc_gbr, gbr_granted, zeros, totals, idle,
-             idle_reset, init_cwnd, max_cwnd, growth, rtt_over_step,
-             int_prbs, int_bytes, cum_prbs, cum_bytes, int_seen,
-             cum_seen) = self._hot
+             alloc_bytes, zeros, totals, idle, init_cwnd, max_cwnd,
+             growth, rtt_over_step, int_prbs, int_bytes, cum_prbs,
+             cum_bytes, int_seen, cum_seen) = self._hot
             tbl_itbs = self._tbl_itbs
             mode_pos = self._mode_pos
             gbr_slots = self._gbr_slots
@@ -1710,8 +1795,8 @@ class TtiKernel:
                 elif mode == _TABLE:
                     bytes_per_prb = BYTES_PER_PRB_TABLE[tbl_itbs[mode_pos[i]]]
                 elif mode == _CYCLIC:
-                    # Scalar replica of the sweep (bit-identical to
-                    # _fill_cyclic, see its docstring).
+                    # Inline CyclicItbsChannel.itbs_at (numpy-free, same
+                    # operations, ``round`` half to even).
                     pos = mode_pos[i]
                     cycle = self._cyc_cycle[pos]
                     phase = ((now + self._cyc_off[pos]) % cycle) / cycle
@@ -1722,7 +1807,15 @@ class TtiKernel:
                         level = (self._cyc_hi[pos]
                                  - 2.0 * (phase - 0.5) * self._cyc_span[pos])
                     bytes_per_prb = BYTES_PER_PRB_TABLE[int(round(level))]
-                else:  # _PLAIN: pure bucket-cached itbs_at
+                else:
+                    # _PLAIN.  Not a pure function of ``now`` for mobile
+                    # FadingChannels: mobility and fading draw lazily
+                    # from one per-UE RNG and the iTbs is cached at the
+                    # first query in each fading bucket, so which steps
+                    # query a channel shapes its values.  This path
+                    # queries idle slots only on controller and public
+                    # steps, the object path on every step; the two
+                    # diverge for mobile cells (see docs/simulator.md).
                     bytes_per_prb = BYTES_PER_PRB_TABLE[
                         validate_itbs(channels[i].itbs_at(now))]
                 bpp[i] = bytes_per_prb
@@ -1749,9 +1842,9 @@ class TtiKernel:
                 self._act_slots = [i for i in act_slots if member[i]]
 
             # --- Phase 1: GBR guarantees in bearer-priority order. -------
-            # Reference copy minus the tracer/checker-only order
-            # bookkeeping (need_order is always False on this path),
-            # restricted to active bearer slots.  The restriction is exact:
+            # The scheduler's walk restricted to active bearer slots
+            # (the object path's per-bearer grant bookkeeping only feeds
+            # its tracer and checker).  The restriction is exact:
             # a bearer slot outside the active set has demand pinned to
             # 0.0, so the reference walk hits a no-op guard there —
             # ``slot_bpp <= 0: continue`` or ``need <= 0: continue`` —
@@ -1759,9 +1852,6 @@ class TtiKernel:
             # budget-exhausted break still precedes the first grant-eligible
             # slot.  Walking the active bearers in rank order therefore
             # reproduces the full walk's grants and float sequence.
-            # ``alloc_gbr`` is not maintained here: it is only ever read
-            # under need_order (tracer/checker active), which pins the
-            # reference step — and that step re-zeroes it before reading.
             alloc_prbs[:] = zeros
             alloc_bytes[:] = zeros
             remaining_budget = self._budget
@@ -1932,387 +2022,6 @@ class TtiKernel:
         self._last_idle = not active_any
         return True
 
-    # ------------------------------------------------------------------
-    # The fused step
-    # ------------------------------------------------------------------
-    def _step_once(self) -> bool:
-        """One fluid MAC step over the array mirrors.
-
-        Returns ``False`` — before any per-step phase has run, with
-        object state authoritative — when a controller firing dirtied
-        the topology and a resync is needed first.
-        """
-        cell = self._cell
-        now = cell._now_s
-        step_s = self._step_s
-        end = now + step_s
-        n = self._n
-
-        profiler = prof.PROFILER
-        if profiler is not None:
-            profiler.begin("sim.step")
-
-        # --- Interval controllers (observation boundary). ------------
-        fire = False
-        for _controller, next_due in cell._controllers:
-            if next_due[0] <= now + 1e-12:
-                fire = True
-                break
-        if fire:
-            self.flush()
-            cell._fire_due_controllers()
-            if self._dirty or cell.scheduler is not self._sched_obj:
-                if profiler is not None:
-                    profiler.end()
-                return False
-            if cell.registry.version != self._reg_version:
-                self._resync_registry()
-            self._reload_mutable()
-
-        # --- Player request issuance (gated: the full call runs only
-        # --- when it provably does something). -----------------------
-        playing = PlaybackState.PLAYING
-        finished = PlaybackState.FINISHED
-        for (player, buffer, start_s, threshold_s, can_abandon,
-             mpd) in self._issue_info:
-            state = player.state
-            if state is finished or now < start_s:
-                player._step_end_s = end
-                continue
-            pending = player._pending
-            active = player._active
-            if pending is not None:
-                if now >= pending.payload_starts_at_s:
-                    player.issue_requests(now)
-            elif active is not None:
-                if (state is playing and active.ladder_index != 0
-                        and can_abandon):
-                    player.issue_requests(now)
-            elif (buffer._level_s < threshold_s
-                  and mpd.has_segment(player._next_segment_index)):
-                player.issue_requests(now)
-            player._step_end_s = end
-
-        if profiler is not None:
-            profiler.begin("sim.kernel.claims")
-        self._mirrors_hot = True
-        checker = chk.CHECKER
-        tracer = obs.TRACER
-
-        # --- Claims: channel chain + demand, into flat arrays. -------
-        (modes, const_bpp, bpp, wanted, demand, videos, channels, cwnd,
-         step_over_rtt, mbr_cap, pf_avg, pf_seen, alloc_prbs,
-         alloc_bytes, alloc_gbr, gbr_granted, zeros, totals, idle,
-         idle_reset, init_cwnd, max_cwnd, growth, rtt_over_step,
-         int_prbs, int_bytes, cum_prbs, cum_bytes, int_seen,
-         cum_seen) = self._hot
-        gbr_slots = self._gbr_slots
-        if self._cyc_slots:
-            self._fill_cyclic(now)
-        cyc_itbs = self._cyc_itbs
-        cyc_index = 0
-        if self._tbl_slots:
-            bucket = math.floor(now / self._tbl_period)
-            if bucket != self._tbl_bucket:
-                self._fill_table(now, bucket)
-                self._tbl_bucket = bucket
-        tbl_itbs = self._tbl_itbs
-        tbl_index = 0
-        active_list: list[int] = []
-        # Without GBR slots phase 1 never touches ``demand``, so the
-        # phase-2 candidate set (and its PF weights and PRB caps) can
-        # be built right here instead of re-scanning all slots.
-        fused_cand = not gbr_slots
-        cand: list[int] = []
-        weights: list[float] = []
-        caps: list[float] = []
-        for i in range(n):
-            mode = modes[i]
-            if mode == _CONST:
-                if checker is not None:
-                    checker.check_tbs_index(
-                        self._const_itbs[i], MIN_ITBS, MAX_ITBS)
-                bytes_per_prb = const_bpp[i]
-            elif mode == _CYCLIC:
-                itbs = cyc_itbs[cyc_index]
-                cyc_index += 1
-                if checker is not None:
-                    checker.check_tbs_index(itbs, MIN_ITBS, MAX_ITBS)
-                bytes_per_prb = BYTES_PER_PRB_TABLE[itbs]
-            elif mode == _TABLE:
-                itbs = tbl_itbs[tbl_index]
-                tbl_index += 1
-                if checker is not None:
-                    checker.check_tbs_index(itbs, MIN_ITBS, MAX_ITBS)
-                bytes_per_prb = BYTES_PER_PRB_TABLE[itbs]
-            elif mode == _PLAIN:
-                itbs = channels[i].itbs_at(now)
-                if checker is not None:
-                    checker.check_tbs_index(itbs, MIN_ITBS, MAX_ITBS)
-                bytes_per_prb = BYTES_PER_PRB_TABLE[validate_itbs(itbs)]
-            else:
-                bytes_per_prb = channels[i].bytes_per_prb_at(now)
-            bpp[i] = bytes_per_prb
-            video = videos[i]
-            if video is None:
-                backlog = math.inf
-            elif video._download_active:
-                backlog = video._remaining_bytes
-            else:
-                backlog = 0.0
-            wanted[i] = backlog
-            if backlog <= 0:
-                flow_demand = 0.0
-            else:
-                limit = cwnd[i] * step_over_rtt[i]
-                flow_demand = backlog if backlog <= limit else limit
-                cap = mbr_cap[i]
-                if flow_demand > cap:
-                    flow_demand = cap
-            demand[i] = flow_demand
-            if flow_demand > 0:
-                active_list.append(i)
-                if fused_cand and flow_demand > 1e-9 and bytes_per_prb > 0:
-                    cand.append(i)
-                    achievable = (bytes_per_prb * 8) / step_s
-                    avg = pf_avg[i]
-                    weights.append(
-                        achievable / (avg if avg >= 1e3 else 1e3))
-                    caps.append(flow_demand / bytes_per_prb)
-
-        if profiler is not None:
-            profiler.switch("sim.kernel.sched")
-
-        # --- Phase 1: GBR guarantees in bearer-priority order. -------
-        need_order = tracer is not None or checker is not None
-        alloc_prbs[:] = zeros
-        alloc_bytes[:] = zeros
-        order: list[int] = []
-        if need_order or gbr_slots:
-            alloc_gbr[:] = zeros
-        remaining_budget = self._budget
-        for slot, guarantee in gbr_slots:
-            slot_bpp = bpp[slot]
-            if slot_bpp <= 0:
-                continue
-            if remaining_budget <= 1e-12:
-                break
-            slot_demand = demand[slot]
-            need = guarantee if guarantee <= slot_demand else slot_demand
-            if need <= 0:
-                continue
-            prbs_needed = need / slot_bpp
-            prbs = (prbs_needed if prbs_needed <= remaining_budget
-                    else remaining_budget)
-            delivered = prbs * slot_bpp
-            remaining_budget -= prbs
-            demand[slot] = slot_demand - delivered
-            alloc_prbs[slot] += prbs
-            alloc_bytes[slot] += delivered
-            alloc_gbr[slot] += prbs
-            if need_order:
-                order.append(slot)
-                gbr_granted[slot] = True
-
-        # --- Phase 2: proportional-fair waterfill of the rest. -------
-        if remaining_budget > 1e-12:
-            if not fused_cand:
-                cand = [i for i in range(n)
-                        if demand[i] > 1e-9 and bpp[i] > 0]
-                for i in cand:
-                    achievable = (bpp[i] * 8) / step_s
-                    avg = pf_avg[i]
-                    weights.append(
-                        achievable / (avg if avg >= 1e3 else 1e3))
-                    caps.append(demand[i] / bpp[i])
-            if len(cand) == 1:
-                # Sole candidate: round 1 of the progressive fill either
-                # caps it or hands it its full share — replicated here
-                # without the list machinery.  ``total_weight`` is
-                # ``0.0 + w`` in the object path, exactly ``w`` for the
-                # strictly positive weights candidates are built with.
-                i = cand[0]
-                weight = weights[0]
-                share = remaining_budget * weight / weight
-                prb_cap = caps[0]
-                prbs = prb_cap if share >= prb_cap - 1e-12 else share
-                if prbs > 0:
-                    delivered = prbs * bpp[i]
-                    slot_demand = demand[i]
-                    if delivered > slot_demand:
-                        delivered = slot_demand
-                    demand[i] = slot_demand - delivered
-                    alloc_prbs[i] += prbs
-                    alloc_bytes[i] += delivered
-                    if need_order and not gbr_granted[i]:
-                        order.append(i)
-            elif cand:
-                grants = _waterfill(remaining_budget, caps, weights)
-                for j, i in enumerate(cand):
-                    prbs = grants[j]
-                    if prbs <= 0:
-                        continue
-                    delivered = prbs * bpp[i]
-                    slot_demand = demand[i]
-                    if delivered > slot_demand:
-                        delivered = slot_demand
-                    demand[i] = slot_demand - delivered
-                    alloc_prbs[i] += prbs
-                    alloc_bytes[i] += delivered
-                    if need_order and not gbr_granted[i]:
-                        order.append(i)
-
-        # --- PF served-average EWMA (active flows only). -------------
-        decay = step_s / self._sched_obj.pf.time_constant_s
-        if decay > 1.0:
-            decay = 1.0
-        one_minus = 1 - decay
-        for i in active_list:
-            rate = (alloc_bytes[i] * 8) / step_s
-            pf_avg[i] = one_minus * pf_avg[i] + decay * rate
-            pf_seen[i] = True
-
-        if need_order:
-            # Replicate the object path's result-dict iteration order
-            # (phase-1 grants first, then phase-2-only grants) so the
-            # sequential float sums below are bit-identical.
-            total_prbs: Any = 0
-            gbr_prbs: Any = 0
-            for slot in order:
-                total_prbs += alloc_prbs[slot]
-                gbr_prbs += alloc_gbr[slot]
-                gbr_granted[slot] = False
-            if tracer is not None:
-                tracer.emit(
-                    obs_events.MAC_SCHED, now,
-                    budget_prbs=self._budget,
-                    gbr_prbs=gbr_prbs,
-                    pf_prbs=total_prbs - gbr_prbs,
-                    backlogged=len(active_list),
-                )
-            if checker is not None:
-                checker.check_rb_conservation(now, total_prbs,
-                                              self._budget)
-
-        # --- Delivery: TCP feedback, byte accounting, RB trace. ------
-        if profiler is not None:
-            profiler.switch("sim.kernel.deliver")
-        step_prbs = 0.0
-        step_bytes = 0.0
-        for i in range(n):
-            delivered = alloc_bytes[i]
-            prbs = alloc_prbs[i]
-            totals[i] += delivered
-            # Inlined FluidTcp.on_delivered (exact op order).
-            flow_wanted = wanted[i]
-            if flow_wanted <= 0:
-                idle[i] += step_s
-                if idle[i] >= idle_reset[i]:
-                    cwnd[i] = init_cwnd[i]
-            else:
-                idle[i] = 0.0
-                limit = cwnd[i] * step_over_rtt[i]
-                window_min = (flow_wanted if flow_wanted <= limit
-                              else limit)
-                if delivered >= window_min - 1e-9:
-                    grown = cwnd[i] * growth[i]
-                    cwnd[i] = (grown if grown <= max_cwnd[i]
-                               else max_cwnd[i])
-                else:
-                    granted_per_rtt = delivered * rtt_over_step[i]
-                    target = granted_per_rtt * 1.25
-                    if target < init_cwnd[i]:
-                        target = init_cwnd[i]
-                    cwnd[i] += 0.5 * (target - cwnd[i])
-            if delivered > 0:
-                video = videos[i]
-                if video is not None and video._download_active:
-                    remaining = video._remaining_bytes - delivered
-                    if remaining <= 1e-6:
-                        # Segment completion: an observation boundary
-                        # *inside* the deliver loop.  Bring the object
-                        # graph exactly current (earlier slots fully
-                        # delivered, this flow's bytes counted, its RB
-                        # trace not yet recorded — the object path's
-                        # state when the callback fires), run the
-                        # callback, then re-arm the mirrors.
-                        self.flush()
-                        video._remaining_bytes = 0.0
-                        video._download_active = False
-                        callback = video._completion_callback
-                        video._completion_callback = None
-                        if callback is not None:
-                            callback()
-                        if (not self._dirty and cell.registry.version
-                                != self._reg_version):
-                            self._resync_registry()
-                        self._reload_mutable()
-                        self._mirrors_hot = True
-                    else:
-                        video._remaining_bytes = remaining
-            if prbs > 0 or delivered > 0:
-                # Inlined RbTraceModule.record.
-                int_prbs[i] += prbs
-                int_bytes[i] += delivered
-                cum_prbs[i] += prbs
-                cum_bytes[i] += delivered
-                int_seen[i] = True
-                cum_seen[i] = True
-                if end > self._tr_now:
-                    self._tr_now = end
-                if tracer is not None:
-                    step_prbs += prbs
-                    step_bytes += delivered
-                    tracer.emit(
-                        obs_events.TTI_ALLOC, now,
-                        flow=self._flow_ids[i],
-                        ue=self._ue_ids[i],
-                        kind=self._kind_values[i],
-                        prbs=prbs,
-                        gbr_prbs=alloc_gbr[i] if need_order else 0.0,
-                        tbs_bytes=delivered,
-                        itbs=channels[i].itbs_at(now),
-                    )
-
-        # --- Playback (inline drain for the steady PLAYING state). ---
-        if profiler is not None:
-            profiler.switch("sim.kernel.playback")
-        for player in cell._players.values():
-            buffer = player.buffer
-            level = buffer._level_s
-            if player.state is playing and level >= step_s:
-                player._step_end_s = end
-                level -= step_s
-                buffer._level_s = level
-                buffer._total_played_s += step_s
-                if checker is not None:
-                    checker.check_buffer_level(level, buffer._capacity_s)
-                player._trace_runs.append(["e", end, level])
-            else:
-                player.advance_playback(end, step_s)
-        if profiler is not None:
-            profiler.end()
-
-        if tracer is not None:
-            tracer.emit(obs_events.SIM_STEP, now, cell=cell.cell_id,
-                        flows=len(cell._flows), prbs=step_prbs,
-                        bytes=step_bytes)
-
-        cell._now_s = end
-        if cell._step_hooks:
-            # Step hooks are an observation boundary too.
-            self.flush()
-            for hook in cell._step_hooks:
-                hook(end)
-            if not self._dirty:
-                if cell.registry.version != self._reg_version:
-                    self._resync_registry()
-                self._reload_mutable()
-        if profiler is not None:
-            profiler.end()
-        self._last_idle = not active_list
-        return True
-
     def _fill_table(self, now: float, bucket: int) -> None:
         """Refresh the per-slot iTbs snapshot for one fading bucket.
 
@@ -2329,44 +2038,6 @@ class TtiKernel:
             if value is None:
                 value = channel.itbs_at(now)
             itbs[j] = value
-
-    def _fill_cyclic(self, now: float) -> None:
-        """Evaluate every cyclic channel's triangular sweep at once.
-
-        Exact replica of ``CyclicItbsChannel.itbs_at`` per element:
-        numpy's elementwise ``%``, ``/``, ``*``, ``-`` and ``rint``
-        are correctly rounded, so the batched result is bit-identical
-        to the scalar loop (``round`` and ``rint`` both round half to
-        even).
-        """
-        count = len(self._cyc_slots)
-        if np is not None and count >= MIN_BULK_CYCLIC:
-            off = np.frombuffer(self._cyc_off)
-            cycle = np.frombuffer(self._cyc_cycle)
-            lo = np.frombuffer(self._cyc_lo)
-            hi = np.frombuffer(self._cyc_hi)
-            span = np.frombuffer(self._cyc_span)
-            phase = ((now + off) % cycle) / cycle
-            level = np.where(
-                phase < 0.5,
-                lo + 2.0 * phase * span,
-                hi - 2.0 * (phase - 0.5) * span,
-            )
-            self._cyc_itbs = np.rint(level).astype(np.int64).tolist()
-            return
-        off = self._cyc_off
-        cycle = self._cyc_cycle
-        lo = self._cyc_lo
-        hi = self._cyc_hi
-        span = self._cyc_span
-        itbs = self._cyc_itbs
-        for j in range(count):
-            phase = ((now + off[j]) % cycle[j]) / cycle[j]
-            if phase < 0.5:
-                level = lo[j] + 2.0 * phase * span[j]
-            else:
-                level = hi[j] - 2.0 * (phase - 0.5) * span[j]
-            itbs[j] = int(round(level))
 
 
 @sequential_replay

@@ -1,6 +1,8 @@
 """Tests for the parallel, cached experiment-execution layer."""
 
 import dataclasses
+import os
+import signal
 import time
 
 import pytest
@@ -229,6 +231,24 @@ class TestShardPoolPipelining:
             # The worker stays alive: the pipelined follow-up still
             # runs, and the failed call did not bump the state.
             assert pool.recv(0) == (0, 1, "after")
+
+    def test_killed_worker_fails_loudly_with_context(self):
+        # Shard 1 is SIGKILLed while it serves a request: its reply
+        # never comes, and the parent must say which shard died, how,
+        # and what it was waiting for — not leak a bare EOFError.
+        with ShardPool(SlowEcho, [(0, 0.0), (1, 30.0)]) as pool:
+            pool.send(0, "compute", "a")
+            pool.send(1, "compute", "b")
+            assert pool.recv(0) == (0, 1, "a")
+            os.kill(pool._procs[1].pid, signal.SIGKILL)
+            with pytest.raises(
+                    ShardPoolError,
+                    match=r"shard 1 worker died \(exitcode -9\) with "
+                          r"'compute' pending"):
+                pool.recv(1)
+            with pytest.raises(ShardPoolError, match="shard 1 worker died"):
+                pool.call(1, "compute", "c")
+            assert pool.call(0, "compute", "d") == (0, 2, "d")
 
     def test_close_drains_unconsumed_pipelined_replies(self):
         # Replies big enough to fill the OS pipe buffer: the worker

@@ -48,3 +48,19 @@ class TestSegmentLog:
         for i in range(3):
             log.append(make_record(index=i))
         assert [r.index for r in log.records] == [0, 1, 2]
+
+    def test_cached_throughputs_match_records_and_are_fresh(self):
+        log = SegmentLog()
+        for i in range(6):
+            log.append(make_record(index=i, size=(i + 1) * 3e5,
+                                   start=float(i), finish=i + 0.1 * (i % 3)))
+        expected = [record.throughput_bps for record in log.records]
+        assert log.throughputs() == expected
+        for k in (1, 3, 6, 9):
+            assert log.throughputs(last=k) == expected[-k:]
+        first = log.throughputs()
+        first.append(0.0)
+        log.throughputs(last=2).clear()
+        assert log.throughputs() == expected
+        assert log.throughputs() is not log.throughputs()
+        assert log.last_bitrate() == log.records[-1].bitrate_bps

@@ -47,7 +47,7 @@ class TestByteIdenticalReports:
         assert dump_cell_report(bare) == dump_cell_report(profiled)
         # The profiler saw the instrumented phases while not touching
         # the simulation.
-        assert "run/sim.step/sim.kernel.sched" in profiler.stats
+        assert "run/sim.step/mac.sched" in profiler.stats
 
     def test_trace_identical_with_profiler_installed(self, tmp_path):
         import json

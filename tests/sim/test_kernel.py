@@ -3,9 +3,13 @@
 The kernel's contract is *byte-identical* serialized ``CellReport``s
 against the pure-object path — not approximate agreement.  The matrix
 here runs coordinated (FLARE, AVIS) and client-side (FESTIVE) schemes
-across seeds with the invariant sanitizer armed on both paths; any
-drift in a mirrored quantity (TCP windows, PF averages, RB trace,
-delivered totals) shows up as a serialization diff.
+across seeds against the object path with the invariant sanitizer
+armed (an armed sanitizer sends a cell to the object path, so it
+guards the reference leg); any drift in a mirrored quantity (TCP
+windows, PF averages, RB trace, delivered totals) shows up as a
+serialization diff.  Observer controllers (the metrics sampler) fire
+inside the fast step without draining lazy state; their samples are
+compared too.
 
 Fast-forward boundary semantics (stride must stop exactly at
 controller deadlines, player starts and the run end, and a refused or
@@ -28,36 +32,143 @@ from repro.metrics.serialize import dump_cell_report
 from repro.net.flows import UserEquipment, reset_entity_ids
 from repro.phy.channel import StaticItbsChannel
 from repro.sim import Cell, CellConfig, kernel_mode
-from repro.workload.scenarios import build_testbed_scenario
+from repro.sim import kernel as kernel_mod
+from repro.workload.scenarios import build_cell_scenario, \
+    build_testbed_scenario
 
 
-def _matrix_report(scheme: str, seed: int, kernel: bool) -> str:
+def _matrix_report(scheme: str, seed: int, kernel: bool,
+                   dynamic: bool = False) -> str:
     with kernel_mode(kernel):
-        report = build_testbed_scenario(scheme, seed=seed,
-                                        duration_s=30.0).run()
+        scenario = build_testbed_scenario(scheme, seed=seed,
+                                          dynamic=dynamic,
+                                          duration_s=30.0)
+        report = scenario.run()
+    if kernel:
+        assert scenario.cell._kernel.active, "the kernel declined the run"
     return dump_cell_report(report)
 
 
 class TestDifferentialMatrix:
-    """FLARE/FESTIVE/AVIS x seeds, sanitizer armed on both paths."""
+    """FLARE/FESTIVE/AVIS x seeds vs the sanitized object path."""
 
     @pytest.mark.parametrize("scheme", ["flare", "festive", "avis"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_byte_identical_reports(self, scheme, seed):
+        fast = _matrix_report(scheme, seed, kernel=True)
         with chk.checked_run():
-            fast = _matrix_report(scheme, seed, kernel=True)
             slow = _matrix_report(scheme, seed, kernel=False)
         assert fast == slow
 
     def test_dynamic_channel_byte_identical(self):
+        fast = _matrix_report("flare", 1, kernel=True, dynamic=True)
+        with chk.checked_run():
+            slow = _matrix_report("flare", 1, kernel=False, dynamic=True)
+        assert fast == slow
+
+    def test_armed_sanitizer_runs_the_object_path(self):
+        with kernel_mode(True), chk.checked_run():
+            scenario = build_testbed_scenario("flare", seed=1,
+                                              duration_s=30.0)
+            armed = dump_cell_report(scenario.run())
+        assert not scenario.cell._kernel.active
+        assert armed == _matrix_report("flare", 1, kernel=True)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: mobile FadingChannels are not a pure function of "
+        "the query time (mobility and fading draw lazily from one per-UE "
+        "RNG, and itbs_at caches the first query in each 0.5 s bucket), "
+        "and the kernel queries idle slots only on controller steps "
+        "while the object path queries every slot every step"))
+    def test_mobile_cell_byte_identical(self):
         def report(kernel):
             with kernel_mode(kernel):
-                built = build_testbed_scenario("flare", dynamic=True,
-                                               seed=1, duration_s=30.0)
-                return dump_cell_report(built.run())
+                return dump_cell_report(build_cell_scenario(
+                    "flare", mobile=True, seed=1, num_video=8,
+                    duration_s=60.0).run())
 
-        with chk.checked_run():
-            assert report(True) == report(False)
+        assert report(True) == report(False)
+
+    def test_mobile_cell_public_steps_match_object_path(self):
+        # Public Cell.step() calls query every plain channel on every
+        # step, the object path's schedule, so the mobile divergence
+        # above does not arise for a cell stepped from outside.
+        def report(kernel):
+            with kernel_mode(kernel):
+                scenario = build_cell_scenario(
+                    "flare", mobile=True, seed=1, num_video=8,
+                    duration_s=60.0)
+                cell = scenario.cell
+                while cell.now_s < scenario.duration_s - 1e-9:
+                    cell.step()
+            if kernel:
+                assert cell._kernel.active
+            return dump_cell_report(collect_cell_report(
+                cell, scenario.sampler, scenario.duration_s))
+
+        assert report(True) == report(False)
+
+
+# ----------------------------------------------------------------------
+# Observer controllers at observation boundaries
+# ----------------------------------------------------------------------
+def dense_static_cell(num_video: int = 40):
+    """Many static-channel FESTIVE clients: the vector lane engages
+    while their first segments download, and full buffers park
+    players lazy later on."""
+    reset_entity_ids()
+    mpd = MediaPresentation(ladder=TESTBED_LADDER, segment_duration_s=4.0)
+    cell = Cell(CellConfig(step_s=0.02))
+    for i in range(num_video):
+        ue = UserEquipment(StaticItbsChannel(5 + i % 8))
+        cell.add_video_flow(ue, mpd, Festive(),
+                            PlayerConfig(request_threshold_s=12.0))
+    sampler = MetricsSampler(interval_s=1.0)
+    cell.add_controller(sampler)
+    return cell, sampler
+
+
+def sampled(sampler):
+    return {name: {fid: series.items()
+                   for fid, series in sorted(table.items())}
+            for name, table in (("throughput", sampler.throughput_bps),
+                                ("buffer", sampler.buffer_s),
+                                ("bitrate", sampler.bitrate_bps))}
+
+
+class TestObserverBoundary:
+    def test_sampler_firing_keeps_lazy_state_and_vector_lane(
+            self, monkeypatch):
+        seen = []
+        original = MetricsSampler.on_interval
+
+        def spying(sampler, now_s, cell):
+            kernel = cell._kernel
+            if kernel is not None:
+                seen.append((kernel._vec_hot,
+                             kernel._pl_mode.count(kernel_mod._PL_PLAY)))
+            original(sampler, now_s, cell)
+
+        # Patched on the class, the way span wrappers instrument it:
+        # the sampler must still be recognised as an observer.
+        monkeypatch.setattr(MetricsSampler, "on_interval", spying)
+        with kernel_mode(True):
+            cell, sampler = dense_static_cell()
+            fast = run_report(cell, sampler, 60.0)
+            fast_samples = sampled(sampler)
+            fast_traces = [p.buffer_trace for p in cell.players.values()]
+            assert cell._kernel.active
+        assert len(seen) == 59
+        # A draining boundary would record (False, 0) at every firing.
+        assert any(vec_hot for vec_hot, _ in seen)
+        assert any(parked for _, parked in seen)
+        with kernel_mode(False):
+            cell, sampler = dense_static_cell()
+            slow = run_report(cell, sampler, 60.0)
+            assert sampled(sampler) == fast_samples
+            assert [p.buffer_trace
+                    for p in cell.players.values()] == fast_traces
+        assert fast == slow
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,12 @@ def run_reports(plan, duration_s, shards=1, lockstep=False):
 
 
 class TestDifferentialMatrix:
-    """lockstep == batched == sharded, byte for byte."""
+    """lockstep == batched == sharded, byte for byte.
+
+    The sanitizer guards the lockstep object-path reference; an armed
+    checker would send the batched and sharded legs to the object path
+    too, so they run unchecked and keep the TTI kernel in the loop.
+    """
 
     @pytest.mark.parametrize("scheme,seed,coupling_db", [
         ("flare", 0, 0.0),
@@ -69,8 +74,9 @@ class TestDifferentialMatrix:
         with chk.checked_run():
             with kernel_mode(False):
                 ref_net, ref = run_reports(plan, 30.0, lockstep=True)
-            bat_net, batched = run_reports(plan, 30.0, shards=1)
-            shard_net, sharded = run_reports(plan, 30.0, shards=2)
+        bat_net, batched = run_reports(plan, 30.0, shards=1)
+        shard_net, sharded = run_reports(plan, 30.0, shards=2)
+        assert bat_net.kernel_cell_runs > 0
         assert ref == batched
         assert batched == sharded
         assert ref_net.records == bat_net.records == shard_net.records
@@ -87,14 +93,12 @@ class TestDifferentialMatrix:
         (column rebuilds) and sharded workers (env inheritance).
         """
         plan = small_plan(coupling_db=6.0)
-        with chk.checked_run():
-            on_net, batched_on = run_reports(plan, 30.0, shards=1)
-            with batch_bai_mode(False):
-                with kernel_mode(False):
-                    _, lockstep_off = run_reports(plan, 30.0,
-                                                  lockstep=True)
-                off_net, batched_off = run_reports(plan, 30.0, shards=1)
-                _, sharded_off = run_reports(plan, 30.0, shards=2)
+        on_net, batched_on = run_reports(plan, 30.0, shards=1)
+        with batch_bai_mode(False):
+            with chk.checked_run(), kernel_mode(False):
+                _, lockstep_off = run_reports(plan, 30.0, lockstep=True)
+            off_net, batched_off = run_reports(plan, 30.0, shards=1)
+            _, sharded_off = run_reports(plan, 30.0, shards=2)
         assert batched_on == batched_off
         assert batched_off == lockstep_off == sharded_off
         assert on_net.records == off_net.records
@@ -279,8 +283,7 @@ class TestVectorLane:
     def test_vec_scalar_lockstep_sharded_identical(self, seed, shards,
                                                    monkeypatch):
         # The sanitizer guards the lockstep reference only: an armed
-        # CHECKER forces every kernel onto the per-step reference
-        # schedule (kernel.py's _step_fast bail-out), so the fast
+        # CHECKER sends every cell to the object path, so the fast
         # paths under test must run unchecked to engage at all.
         plan = dense_plan(seed)
         with chk.checked_run():

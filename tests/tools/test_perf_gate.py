@@ -1,6 +1,7 @@
 """Tests for the CI perf-regression gate."""
 
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from tools.perf_gate import (
     DEFAULT_THRESHOLD,
     GateError,
     evaluate,
+    evaluate_metrics,
     evaluate_telemetry_overhead,
     load_bench,
     main,
@@ -44,6 +46,30 @@ class TestEvaluate:
                                {"wall_time_s": 0.0}, threshold=0.25)
         assert ok
         assert "nothing to gate" in summary
+
+
+METRICS = {"clients": 9, "mean_bitrate_kbps": 874.2434988179668,
+           "mean_changes": 5.777777777777778,
+           "mean_rebuffer_s": 0.8288888888888918}
+
+
+class TestEvaluateMetrics:
+    def test_identical_metrics_pass(self):
+        ok, summary = evaluate_metrics({"metrics": dict(METRICS)},
+                                       {"metrics": dict(METRICS)})
+        assert ok
+        assert "identical" in summary
+
+    def test_absent_block_is_not_gated(self):
+        assert evaluate_metrics({}, {"metrics": METRICS}) is None
+        assert evaluate_metrics({"metrics": METRICS}, {}) is None
+
+    def test_missing_key_fails(self):
+        partial = {k: v for k, v in METRICS.items() if k != "clients"}
+        ok, summary = evaluate_metrics({"metrics": partial},
+                                       {"metrics": METRICS})
+        assert not ok
+        assert "clients" in summary
 
 
 class TestLoadBench:
@@ -162,3 +188,21 @@ class TestCommittedBaseline:
         payload = load_bench(baseline)
         assert "telemetry" in payload["micro"]
         assert 0.0 < payload["telemetry_overhead"]["frac"] <= 0.02
+
+
+class TestMainMetricsGate:
+    def test_one_ulp_metric_change_fails_the_gate(self, tmp_path, capsys):
+        bumped = dict(METRICS)
+        bumped["mean_bitrate_kbps"] = math.nextafter(
+            METRICS["mean_bitrate_kbps"], math.inf)
+        current = _artifact(tmp_path, "t@cur", 1.0, metrics=bumped)
+        baseline = _artifact(tmp_path, "t@base", 1.0, metrics=METRICS)
+        assert main([str(current), str(baseline)]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION" in out
+        assert "mean_bitrate_kbps" in out
+
+    def test_identical_metrics_exit_zero(self, tmp_path):
+        current = _artifact(tmp_path, "t@cur", 1.0, metrics=METRICS)
+        baseline = _artifact(tmp_path, "t@base", 1.0, metrics=METRICS)
+        assert main([str(current), str(baseline)]) == 0

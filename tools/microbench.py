@@ -5,10 +5,10 @@ Four micro-kernels:
 * ``sched`` — ``PrioritySetScheduler.allocate`` over N backlogged
   data flows: the GBR phase, the proportional-fair waterfill and the
   EWMA update, with no channel or delivery work.
-* ``chain`` — the kernel's channel→iTbs→TBS evaluation for N cyclic
-  channels (``TtiKernel._fill_cyclic`` plus the TBS-table gather);
-  N = 16 exercises the scalar per-slot loop, the larger populations
-  the batched numpy sweep.
+* ``chain`` — the channel→iTbs→TBS evaluation for N cyclic channels
+  (``CyclicItbsChannel.bytes_per_prb_at`` per slot per step: the
+  triangular sweep plus the TBS-table lookup that the kernel's claims
+  loop replicates inline).
 * ``itbs`` — the metro's batched per-epoch channel priming
   (``prime_metro_channels``: scalar loss/fade collection plus the
   vectorised SINR→CQI→iTbs sweep) over N roaming ``MetroChannel``
@@ -62,9 +62,7 @@ from repro.net.flows import DataFlow, UserEquipment, reset_entity_ids
 from repro.net.tcp import FluidTcp
 from repro.phy.channel import CyclicItbsChannel, FadingProcess, StaticItbsChannel
 from repro.phy.mobility import RandomWaypointMobility
-from repro.phy.tbs import BYTES_PER_PRB_TABLE
 from repro.sim.cell import Cell, CellConfig
-from repro.sim.kernel import TtiKernel
 from repro.sim.network import (
     MetroChannel,
     NetworkShard,
@@ -141,22 +139,15 @@ def bench_sched(n: int, steps: int) -> float:
 
 def bench_chain(n: int, steps: int) -> float:
     """Channel-chain-only: cyclic sweep -> iTbs -> TBS bytes/PRB."""
-    reset_entity_ids()
-    cell = Cell(CellConfig(step_s=STEP_S))
-    for i in range(n):
-        cell.add_data_flow(UserEquipment(CyclicItbsChannel(
-            lo=1, hi=12, cycle_s=240.0, offset_s=i * 240.0 / n)))
-    kernel = TtiKernel(cell)
-    if not kernel._enter():
-        raise SystemExit("microbench: kernel refused the chain cell")
-    table = BYTES_PER_PRB_TABLE
+    channels = [CyclicItbsChannel(lo=1, hi=12, cycle_s=240.0,
+                                  offset_s=i * 240.0 / n)
+                for i in range(n)]
     sink = 0.0
     started = time.perf_counter()
     now = 0.0
     for _ in range(steps):
-        kernel._fill_cyclic(now)
-        for itbs in kernel._cyc_itbs:
-            sink += table[itbs]
+        for channel in channels:
+            sink += channel.bytes_per_prb_at(now)
         now += STEP_S
     elapsed = time.perf_counter() - started
     assert sink > 0.0

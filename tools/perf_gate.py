@@ -9,9 +9,12 @@ allowed fraction::
 
 Exit codes: ``0`` within budget, ``1`` regression, ``2`` bad input.
 The threshold can also be set via ``REPRO_PERF_THRESHOLD`` (the
-command-line flag wins).  Only ``wall_time_s`` gates the build — the
-other volatile fields (timestamp, git_rev, host, ...) are informational
-and deterministic fields are expected to match byte-for-byte anyway.
+command-line flag wins).  Two fields gate the build: ``wall_time_s``
+against the threshold, and the deterministic ``metrics`` block (the
+QoE summary of the simulated cells), which must equal the baseline's
+exactly whenever both artifacts carry one — a one-ulp difference is a
+changed simulation, not noise.  The other volatile fields (timestamp,
+git_rev, host, ...) are informational.
 
 ``--telemetry-overhead MAX`` additionally gates the current
 artifact's ``telemetry_overhead.frac`` field (written by
@@ -79,6 +82,28 @@ def evaluate(current: dict[str, Any], baseline: dict[str, Any],
     return True, detail + " -- OK"
 
 
+def evaluate_metrics(current: dict[str, Any],
+                     baseline: dict[str, Any]) -> tuple[bool, str] | None:
+    """Compare the deterministic ``metrics`` blocks exactly.
+
+    Returns ``None`` when either artifact lacks the block, else
+    ``(ok, summary)`` with every differing key listed.
+    """
+    cur = current.get("metrics")
+    base = baseline.get("metrics")
+    if cur is None or base is None:
+        return None
+    name = current.get("name", "?")
+    if cur == base:
+        return True, (f"perf-gate [{name}]: metrics identical to the "
+                      f"baseline ({len(base)} keys) -- OK")
+    diffs = [f"{key}: {cur.get(key)!r} != baseline {base.get(key)!r}"
+             for key in sorted(set(cur) | set(base))
+             if cur.get(key) != base.get(key)]
+    return False, (f"perf-gate [{name}]: metrics differ from the "
+                   f"baseline -- REGRESSION\n  " + "\n  ".join(diffs))
+
+
 def evaluate_telemetry_overhead(current: dict[str, Any],
                                 max_frac: float) -> tuple[bool, str]:
     """Gate the telemetry collection cost; returns (ok, summary)."""
@@ -113,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="perf_gate",
         description="Fail when a BENCH artifact's wall time regresses "
-                    "past the committed baseline.")
+                    "past the committed baseline or its deterministic "
+                    "metrics differ from it.")
     parser.add_argument("current", type=pathlib.Path,
                         help="BENCH_<name>.json from this run")
     parser.add_argument("baseline", type=pathlib.Path,
@@ -135,6 +161,11 @@ def main(argv: list[str] | None = None) -> int:
         baseline = load_bench(args.baseline)
         ok, summary = evaluate(current, baseline, threshold)
         print(summary)
+        metrics = evaluate_metrics(current, baseline)
+        if metrics is not None:
+            metrics_ok, metrics_summary = metrics
+            print(metrics_summary)
+            ok = ok and metrics_ok
         if args.telemetry_overhead is not None:
             tele_ok, tele_summary = evaluate_telemetry_overhead(
                 current, args.telemetry_overhead)
