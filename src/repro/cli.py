@@ -187,14 +187,21 @@ def _metro_command(args: argparse.Namespace,
     lines = [f"metro scaling study: {study['cells']} cells, "
              f"{study['ues']} UEs, {study['duration_s']:g} s simulated",
              f"{'shards':>7} {'ues':>8} {'wall_s':>9} {'speedup':>8} "
-             f"{'UE-s/s':>10} {'handovers':>10} {'kernel_cells':>13}"]
+             f"{'UE-s/s':>10} {'handovers':>10} {'kernel_cells':>13} "
+             f"{'vec_steps':>10} {'scalar_steps':>12} {'sweeps':>8} "
+             f"{'cells/sweep':>11}"]
     for row in study["rows"]:
         speedup = (f"{row['speedup']:>8.2f}" if "speedup" in row
                    else f"{'-':>8}")
+        lanes = row["lane_steps"]
+        per_sweep = (lanes["swept_cells"] / lanes["sweeps"]
+                     if lanes["sweeps"] else 0.0)
         lines.append(f"{row['shards']:>7} {row['ues']:>8} "
                      f"{row['wall_time_s']:>9.2f} {speedup} "
                      f"{row['ues_per_s']:>10.0f} {row['handovers']:>10} "
-                     f"{row['kernel_cell_runs']:>13}")
+                     f"{row['kernel_cell_runs']:>13} "
+                     f"{lanes['vector']:>10} {lanes['scalar']:>12} "
+                     f"{lanes['sweeps']:>8} {per_sweep:>11.2f}")
     return "\n".join(lines)
 
 

@@ -14,6 +14,7 @@ is byte-identical to the reference, see ``tests/sim/test_network.py``).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import asdict
 from typing import Any
 
 from repro.experiments.bench import measure
@@ -65,6 +66,7 @@ def _run_row(plan: Any, shards: int, duration_s: float, axis: str,
                       if wall > 0 else 0.0),
         "handovers": network.handover_count,
         "kernel_cell_runs": network.kernel_cell_runs,
+        "lane_steps": asdict(network.lane_steps),
         "pipeline": network.pipeline or None,
         "per_cell": per_cell,
     }

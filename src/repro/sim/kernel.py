@@ -15,11 +15,24 @@ attachment order — and one step function (``_step_fast``) computes
 the channel→TBS chain, both Priority Set scheduling phases (GBR pass +
 proportional-fair waterfill) and MAC delivery over the slots that can
 act, replaying provably inert stretches lazily.  Dense active sets
-switch the MAC phase onto a full-width numpy lane (``_vec_step``).
+switch the MAC phase onto the numpy vector lane.
 Results are flushed back into the existing ``Flow`` / ``Allocation``
 / ``RbTraceModule`` objects at every observation boundary, so
 everything outside the hot loop keeps seeing the object world it was
 written against.
+
+**Lockstep driving.**  :func:`run_cells` advances a group of cells
+(a metro shard's, or a lone cell as a group of one) in rounds.  Each
+cell runs the head of its step on its own — boundary firing, issue
+gate, channel-table refresh, lane hysteresis; a scalar-lane step
+completes right there and the cell steps on.  Once every live cell
+has reached a vector step, the round's vector-hot cells share one
+stacked numpy pass (:class:`_VecStack`) over concatenated columns, in
+which each cell's ``_v_*`` arrays are views of its segment; only the
+order-sensitive GBR budget chain, the PF waterfill and completion
+callbacks run per cell, on python floats.  Cells are independent
+within an exchange epoch, so the interleaving changes no cell's float
+sequence.
 
 **The mirroring contract.**  Object state is authoritative at every
 *observation boundary*; array state is authoritative strictly between
@@ -76,6 +89,7 @@ from array import array
 from bisect import insort
 from contextlib import contextmanager
 from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro import check as chk
@@ -150,7 +164,7 @@ _PL_INERT = 4  # FINISHED or strictly before start: no per-step effects
 _MIN_LAZY = 3
 
 #: Active-set size at which ``_step_fast`` lifts the MAC phase into the
-#: numpy vector lane (see ``TtiKernel._vec_step``), and the size below
+#: numpy vector lane (see :class:`_VecStack`), and the size below
 #: which it drops back to the scalar loop.  The gap is hysteresis: a
 #: gather/scatter round trip costs tens of microseconds, so an active
 #: set oscillating around a single threshold must not thrash it.
@@ -163,6 +177,37 @@ _VEC_DISABLED = bool(os.environ.get("REPRO_KERNEL_NO_VEC"))
 
 #: numpy view of the iTbs -> bytes/PRB table for batched lookups.
 _BPP_NP = None if np is None else np.array(BYTES_PER_PRB_TABLE)
+
+# Outcomes of one fast-step attempt (``_step_fast``) and of a cell's
+# share of one lockstep round (``_advance``).
+_RETRY = 0     # controllers fired and changed the topology: nothing stepped
+_STEPPED = 1   # the step completed (scalar lane)
+_SWEEP = 2     # head done; MAC and tail run in the group's stacked sweep
+_DONE = 3      # the cell reached the run end, mirrors flushed
+_DECLINED = 4  # the cell must continue on the object path
+
+
+@dataclass
+class LaneSteps:
+    """Exact MAC work counts of a :func:`run_cells` call.
+
+    ``vector`` and ``scalar`` are cell-steps taken on each MAC lane;
+    ``sweeps`` counts stacked vector passes and ``swept_cells`` the
+    cells they covered (``swept_cells / sweeps`` cells per sweep).
+    """
+
+    vector: int = 0
+    scalar: int = 0
+    sweeps: int = 0
+    swept_cells: int = 0
+
+    def add(self, other: LaneSteps) -> None:
+        """Accumulate ``other`` into these counts."""
+        self.vector += other.vector
+        self.scalar += other.scalar
+        self.sweeps += other.sweeps
+        self.swept_cells += other.swept_cells
+
 
 #: The checked mirror-coverage allowlist (``Class.attr`` -> reason).
 #:
@@ -404,11 +449,19 @@ class TtiKernel:
         self._pl_wake: list[float] = []      # absolute hot-promotion time
         self._pl_hot_list: list[int] = []    # sorted hot player indices
         self._pl_wake_min = math.inf
-        # Vector-lane state (see _vec_step).  While ``_vec_hot`` the
+        # MAC work counters (cell-steps per lane; see LaneSteps).
+        self._vec_steps = 0
+        self._scalar_steps = 0
+        # Vector-lane state (see _VecStack).  While ``_vec_hot`` the
         # numpy shadows below are authoritative for every masked slot;
         # the list mirrors stay authoritative for everything else.
+        # Once stacked they are views of the group's concatenated
+        # columns; ``_vec_stale`` asks the stack to re-concatenate
+        # (fresh gather, or a registry resync that replaced the GBR
+        # walk).
         self._vec_ok = False
         self._vec_hot = False
+        self._vec_stale = False
         self._vec_bucket: Optional[int] = None
         self._v_mask: Any = None       # bool: slot is vector-owned
         self._v_cwnd: Any = None
@@ -431,10 +484,12 @@ class TtiKernel:
         self._v_init: Any = None
         self._v_max: Any = None
         self._v_mbr: Any = None
+        self._v_step: Any = None       # step_s (PF rate, weights)
+        self._v_decay: Any = None      # PF EWMA decay
+        self._v_keep: Any = None       # 1 - decay
         self._v_tbl: Any = None        # table-mode slot indices
         self._vg_slots: Any = None     # GBR slots in bearer-rank order
         self._vg_rates: Any = None
-        self._vg_ident = False         # GBR walk == slots 0..n-1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -448,6 +503,16 @@ class TtiKernel:
     def fast_forwarded_steps(self) -> int:
         """Idle steps skipped by fast-forward so far."""
         return self._ff_steps
+
+    @property
+    def vector_steps(self) -> int:
+        """Steps whose MAC phase ran in a stacked vector sweep."""
+        return self._vec_steps
+
+    @property
+    def scalar_steps(self) -> int:
+        """Steps whose MAC phase ran on the scalar lane."""
+        return self._scalar_steps
 
     def invalidate(self) -> None:
         """Topology changed: rebuild mirrors at the next boundary."""
@@ -468,41 +533,61 @@ class TtiKernel:
         # The object path queries every channel on every step; a public
         # step keeps that query schedule for the plain channels.
         self._query_all = True
-        while not self._step_fast():
+        while True:
+            state = self._step_fast()
+            if state != _RETRY:
+                break
             if self._object_only() or not self._sync():
                 self.flush()
                 return False
+        if state == _SWEEP:
+            _VecStack().sweep([self])
         self.flush()
         return True
 
     def run(self, duration_s: float) -> bool:
         """Drive the whole run loop on the fast path.
 
-        Returns ``False`` when the configuration is (or mid-run
-        becomes) unsupported, or an observability mode or step hook
-        is armed; the caller's object loop continues from the current
-        ``now_s``.
+        The cell runs as a lockstep group of one (see
+        :func:`run_cells`).  Returns ``False`` when the configuration
+        is (or mid-run becomes) unsupported, or an observability mode
+        or step hook is armed; the caller's object loop continues from
+        the current ``now_s``.
         """
         if self._object_only() or not self._enter():
             return False
+        return not _lockstep([self], duration_s, _VecStack())
+
+    def _advance(self, end_gate: float) -> int:
+        """This cell's share of one lockstep round.
+
+        Runs the run loop — checks, fast-forward, fast steps — until
+        the cell needs the group: ``_SWEEP`` when a step's MAC phase
+        waits for the stacked sweep.  Scalar-lane steps complete here,
+        so a cell off the vector lane runs ahead of the group (cells
+        are independent within an epoch) without paying a round per
+        step.  ``_DONE`` (mirrors flushed) once the clock reaches
+        ``end_gate``; ``_DECLINED`` when the cell must continue on the
+        object path.
+        """
         cell = self._cell
-        end_gate = duration_s - 1e-9
         # Bearer-registry changes can only originate at observation
-        # boundaries (controller fires, completion callbacks), and
-        # ``_step_fast`` resyncs after each of those — so the loop here
-        # checks only for topology/scheduler changes.
+        # boundaries (controller fires, completion callbacks), and the
+        # step resyncs after each of those — so the loop here checks
+        # only for topology/scheduler changes.
         while cell._now_s < end_gate:
             if self._object_only():
                 self.flush()
-                return False
+                return _DECLINED
             if self._dirty or cell.scheduler is not self._sched_obj:
                 if not self._sync():
-                    return False
+                    return _DECLINED
             if self._last_idle and self._try_fast_forward(end_gate):
                 continue
-            self._step_fast()
+            if self._step_fast() == _SWEEP:
+                return _SWEEP
         self.flush()
-        return True
+        return _DONE
 
     def _object_only(self) -> bool:
         """True when this step must run on the instrumented object path.
@@ -843,12 +928,14 @@ class TtiKernel:
             self._gbr_rate[slot] = guarantee
         if self._vec_hot:
             # Mid-run resync (an in-lane completion callback touched
-            # the registry): refresh the lane's registry-derived views.
-            self._v_mbr = np.array(self._mbr_cap)
+            # the registry): refresh the lane's registry-derived views;
+            # the stack re-concatenates the GBR walk before its next
+            # sweep.
+            self._v_mbr[:] = self._mbr_cap
             self._vg_slots = np.array(
                 [slot for slot, _ in gbr_slots], dtype=np.intp)
             self._vg_rates = np.array([g for _, g in gbr_slots])
-            self._vg_refresh_ident()
+            self._vec_stale = True
         self._reg_version = registry.version
 
     def _reload_mutable(self) -> None:
@@ -1058,41 +1145,18 @@ class TtiKernel:
             sync[i] = synced
         self._v_mask = mask
         self._v_backlog = backlog
-        # Per-step scratch (reused via ``out=`` to avoid allocations).
+        # Per-slot step constants, so cells of any step size share one
+        # stacked sweep (same IEEE operations as the scalar lane's
+        # python-float operands).
         n = self._n
-        self._s_limit = npx.empty(n)
-        self._s_fd = npx.empty(n)
-        self._s_ap = npx.empty(n)
-        self._s_ab = npx.empty(n)
-        self._s_t1 = npx.empty(n)
-        self._s_t2 = npx.empty(n)
-        self._s_t3 = npx.empty(n)
-        self._s_t4 = npx.empty(n)
-        self._s_spare = npx.empty(n)
-        self._s_active = npx.empty(n, dtype=bool)
-        self._s_b1 = npx.empty(n, dtype=bool)
-        self._s_b2 = npx.empty(n, dtype=bool)
-        self._s_b3 = npx.empty(n, dtype=bool)
-        pf = self._sched_obj.pf
-        decay = self._step_s / pf.time_constant_s
+        decay = self._step_s / self._sched_obj.pf.time_constant_s
         if decay > 1.0:
             decay = 1.0
-        self._s_decay = decay
-        self._vg_refresh_ident()
+        self._v_step = npx.full(n, self._step_s)
+        self._v_decay = npx.full(n, decay)
+        self._v_keep = npx.full(n, 1 - decay)
         self._vec_hot = True
-
-    def _vg_refresh_ident(self) -> None:
-        """Recompute whether the GBR walk is the identity permutation.
-
-        The metro workload registers one GBR bearer per video flow in
-        flow-creation (= slot) order, so the bearer-rank walk visits
-        slots 0..n-1 — the GBR phase then runs full-width elementwise
-        with no index gathers (see ``_vec_step``).
-        """
-        vg = self._vg_slots
-        self._vg_ident = (
-            vg.size == self._n
-            and bool(np.array_equal(vg, np.arange(self._n))))
+        self._vec_stale = True
 
     def _vec_flush(self) -> None:
         """Scatter vector-owned state back into the list mirrors.
@@ -1228,211 +1292,23 @@ class TtiKernel:
                 return k, remaining, 0.0
         return cut, None, remaining
 
-    def _vec_step(self, now: float, end: float, step_s: float) -> bool:
-        """Full-width numpy claims -> GBR -> PF -> delivery phase.
+    def _vec_finish(self, done: Sequence[int], granted: bool,
+                    active: bool) -> None:
+        """This cell's remainder of a stacked vector step.
 
-        Byte-identity with the scalar loops rests on three facts:
-        elementwise float64 numpy arithmetic performs the same IEEE
-        operations as the scalar expressions it replaces; ``x + 0.0``
-        and ``x - 0.0`` are exact for the non-negative quantities
-        accumulated here, so full-width updates match the reference's
-        skip-if-zero guards; and the two order-sensitive reductions —
-        the GBR budget walk and the PF waterfill — run as exact
-        sequential chains on python floats extracted bit-for-bit from
-        the arrays (``_gbr_chain`` and the scalar ``_waterfill``).
-
-        Returns True when any flow had positive demand this step.
+        Runs after :meth:`_VecStack.sweep` committed the MAC phase for
+        every slot: advances the RB-trace clock when any slot was
+        granted, fires the completion boundaries (``done``, ascending
+        slots whose download finished), then the step's playback tail.
         """
-        npx = np
-        mask = self._v_mask
-        if self._vec_bucket != self._tbl_bucket:
-            # New fading bucket: batch the per-slot table lookups the
-            # scalar claims loop performs (same table, same indices).
-            self._vec_bucket = self._tbl_bucket
-            if self._tbl_slots:
-                self._v_bpp[self._v_tbl] = _BPP_NP[
-                    npx.array(self._tbl_itbs)]
-        bpp = self._v_bpp
-        backlog = self._v_backlog
-        cwnd = self._v_cwnd
-
-        # --- Claims: demand = min(backlog, window, MBR cap). ---------
-        limit = self._s_limit
-        npx.multiply(cwnd, self._v_sor, out=limit)
-        fd = self._s_fd
-        npx.minimum(backlog, limit, out=fd)
-        npx.minimum(fd, self._v_mbr, out=fd)
-        self._v_demand = demand = fd
-        active = self._s_active
-        npx.greater(fd, 0.0, out=active)
-
-        # --- Phase 1: GBR guarantees in bearer-priority order. -------
-        a_p = self._s_ap
-        a_b = self._s_ab
-        remaining = self._budget
-        vg = self._vg_slots
-        if self._vg_ident:
-            # Every slot carries a bearer and rank order == slot
-            # order: asks come straight off the full-width arrays with
-            # no index gathers, and pre-cutoff grants commit as
-            # contiguous slice ops.
-            t1 = self._s_t1
-            npx.minimum(self._vg_rates, fd, out=t1)     # need
-            npx.divide(t1, bpp, out=t1)                 # prbs asked
-            cut, part, remaining = self._gbr_chain(t1.tolist(),
-                                                   remaining)
-            if cut == self._n:
-                # Budget survived the walk: full asks everywhere.
-                npx.copyto(a_p, t1)
-                npx.multiply(t1, bpp, out=a_b)          # delivered
-                npx.subtract(fd, a_b, out=fd)
-            else:
-                a_p.fill(0.0)
-                a_b.fill(0.0)
-                if cut:
-                    npx.copyto(a_p[:cut], t1[:cut])
-                    ab_head = a_b[:cut]
-                    npx.multiply(t1[:cut], bpp[:cut], out=ab_head)
-                    fd_head = fd[:cut]
-                    npx.subtract(fd_head, ab_head, out=fd_head)
-                if part is not None:
-                    got = part * float(bpp[cut])
-                    a_p[cut] = part
-                    a_b[cut] = got
-                    fd[cut] = float(fd[cut]) - got
-        elif vg.size:
-            # Bearer rank order is a general permutation (handovers
-            # splice joining UEs mid-rank): gather in rank order, run
-            # the same budget chain, scatter the pre-cutoff grants.
-            a_p.fill(0.0)
-            a_b.fill(0.0)
-            d_g = demand[vg]
-            b_g = bpp[vg]
-            asks = npx.minimum(self._vg_rates, d_g)
-            npx.divide(asks, b_g, out=asks)
-            cut, part, remaining = self._gbr_chain(asks.tolist(),
-                                                   remaining)
-            if cut:
-                vh = vg[:cut]
-                ask_h = asks[:cut]
-                delivered = ask_h * b_g[:cut]
-                a_p[vh] = ask_h
-                a_b[vh] = delivered
-                demand[vh] = d_g[:cut] - delivered
-            if part is not None:
-                slot = int(vg[cut])
-                got = part * float(b_g[cut])
-                a_p[slot] = part
-                a_b[slot] = got
-                demand[slot] = float(d_g[cut]) - got
-        else:
-            a_p.fill(0.0)
-            a_b.fill(0.0)
-
-        # --- Phase 2: proportional-fair waterfill of the rest. -------
-        # (bpp > 0 for every slot in vec mode: only OutageChannel can
-        # yield a zero, and outage-wrapped channels disqualify the
-        # lane in ``_rebuild``.)
-        if remaining > 1e-12:
-            cand = self._s_b2
-            npx.greater(demand, 1e-9, out=cand)
-            cand_idx = npx.nonzero(cand)[0]
-            n_cand = len(cand_idx)
-            if n_cand == 1:
-                ci = int(cand_idx[0])
-                dc = float(demand[ci])
-                bc = float(bpp[ci])
-                avg = float(self._v_pf[ci])
-                achievable = (bc * 8) / step_s
-                weight = achievable / (avg if avg >= 1e3 else 1e3)
-                share = remaining * weight / weight
-                prb_cap = dc / bc
-                prbs = prb_cap if share >= prb_cap - 1e-12 else share
-                if prbs > 0:
-                    got = prbs * bc
-                    if got > dc:
-                        got = dc
-                    demand[ci] = dc - got
-                    a_p[ci] += prbs
-                    a_b[ci] += got
-            elif n_cand:
-                dc = demand[cand_idx]
-                bc = bpp[cand_idx]
-                ach = (bc * 8) / step_s
-                weights = ach / npx.maximum(self._v_pf[cand_idx], 1e3)
-                caps = dc / bc
-                # The waterfill's round structure is order-sensitive;
-                # tolist() hands it the same doubles as python floats.
-                grants = _waterfill(remaining, caps.tolist(),
-                                    weights.tolist())
-                gr = npx.array(grants)
-                got = npx.minimum(gr * bc, dc)
-                demand[cand_idx] = dc - got
-                a_p[cand_idx] += gr
-                a_b[cand_idx] += got
-
-        # --- PF served-average EWMA (positive-demand flows only). ----
-        decay = self._s_decay
-        t1 = self._s_t1
-        npx.multiply(a_b, 8, out=t1)
-        npx.divide(t1, step_s, out=t1)              # rate
-        npx.multiply(t1, decay, out=t1)             # decay * rate
-        t2 = self._s_t2
-        npx.multiply(self._v_pf, 1 - decay, out=t2)
-        npx.add(t2, t1, out=t2)
-        npx.copyto(self._v_pf, t2, where=active)
-        self._v_pfseen |= active
-
-        # --- Delivery: totals, TCP window, backlog, RB trace. --------
-        self._v_totals += a_b
-        npx.minimum(backlog, limit, out=t1)         # window_min
-        npx.subtract(t1, 1e-9, out=t1)
-        sel = self._s_b1
-        npx.greater_equal(a_b, t1, out=sel)
-        npx.multiply(cwnd, self._v_grow, out=t2)
-        npx.minimum(t2, self._v_max, out=t2)        # grown
-        t3 = self._s_t3
-        npx.multiply(a_b, self._v_ros, out=t3)
-        npx.multiply(t3, 1.25, out=t3)
-        npx.maximum(t3, self._v_init, out=t3)       # target
-        t4 = self._s_t4
-        npx.subtract(t3, cwnd, out=t4)
-        npx.multiply(t4, 0.5, out=t4)
-        npx.add(cwnd, t4, out=t4)                   # shrunk
-        npx.copyto(t4, t2, where=sel)
-        npx.copyto(cwnd, t4, where=mask)
-        # bpp > 0 for every slot in vec mode, so bytes were delivered
-        # exactly when PRBs were granted: one comparison covers both.
-        granted = self._s_b3
-        npx.greater(a_b, 0.0, out=granted)
-        nb = self._s_spare
-        npx.subtract(backlog, a_b, out=nb)
-        comp = self._s_b2
-        npx.less_equal(nb, 1e-6, out=comp)
-        comp &= granted
-        # Rotate the three backlog buffers: this step's start backlog
-        # becomes the recorded "wanted" (the reference writes
-        # ``wanted[i] = backlog`` in its claims loop), the new backlog
-        # takes over, and the freed wanted array is next step's
-        # subtraction scratch.
-        self._s_spare = self._v_wanted
-        self._v_wanted = backlog
-        self._v_backlog = nb
-        self._v_ip += a_p
-        self._v_ib += a_b
-        self._v_cp += a_p
-        self._v_cb += a_b
-        self._v_iseen |= granted
-        self._v_cseen |= granted
-        if bool(granted.any()) and end > self._tr_now:
+        end = self._cell._now_s + self._step_s
+        if granted and end > self._tr_now:
             self._tr_now = end
-
-        # --- Completion boundaries (rare; ascending slot order). -----
-        if bool(comp.any()):
+        if done:
             cell = self._cell
             slot_pl = self._slot_pl
             videos = self._videos
-            for i in npx.nonzero(comp)[0].tolist():
+            for i in done:
                 self._v_backlog[i] = 0.0
                 self._vec_leave(i)
                 pj = slot_pl[i]
@@ -1449,7 +1325,8 @@ class TtiKernel:
                 if (not self._dirty
                         and cell.registry.version != self._reg_version):
                     self._resync_registry()
-        return bool(active.any())
+        self._vec_steps += 1
+        self._step_tail(end, active)
 
     def _pl_materialize(self, j: int, end_s: float) -> None:
         """Replay a lazy player's owed steps; the player becomes HOT.
@@ -1649,7 +1526,7 @@ class TtiKernel:
                 sync[j] = steps
                 self._pl_clock[j] = now
 
-    def _step_fast(self) -> bool:
+    def _step_fast(self) -> int:
         """One fluid step running only provably-observable work.
 
         Exactness relative to the object path: the skipped work is
@@ -1666,17 +1543,21 @@ class TtiKernel:
         phase 2 rebuilds the PF candidate set from the post-GBR
         residual demand.
 
-        Returns ``False`` — nothing stepped — when firing the due
-        controllers changed the topology or armed object-path
-        observability (see :meth:`_fire_boundary`); callers check
-        :meth:`_object_only` before each step.
+        Returns ``_STEPPED`` when the step completed on the scalar
+        lane, and ``_SWEEP`` when the cell is vector-hot: its MAC phase
+        and playback tail then run in the group's stacked sweep
+        (:class:`_VecStack`, then :meth:`_vec_finish`).  Returns
+        ``_RETRY`` — nothing stepped — when firing the due controllers
+        changed the topology or armed object-path observability (see
+        :meth:`_fire_boundary`); callers check :meth:`_object_only`
+        before each step.
         """
         cell = self._cell
         now = cell._now_s
         for _controller, next_due in cell._controllers:
             if next_due[0] <= now + 1e-12:
                 if not self._fire_boundary(now):
-                    return False
+                    return _RETRY
                 break
         step_s = self._step_s
         end = now + step_s
@@ -1749,256 +1630,269 @@ class TtiKernel:
             for i in self._plain_slots:
                 channels[i].itbs_at(now)
         if self._vec_hot:
-            # --- Vectorised MAC phase (claims .. completions). -------
-            active_any = self._vec_step(now, end, step_s)
-        else:
-            # --- Claims over the maybe-backlogged set. ---------------
-            (modes, const_bpp, bpp, wanted, demand, videos_h, channels,
-             cwnd, step_over_rtt, mbr_cap, pf_avg, pf_seen, alloc_prbs,
-             alloc_bytes, zeros, totals, idle, init_cwnd, max_cwnd,
-             growth, rtt_over_step, int_prbs, int_bytes, cum_prbs,
-             cum_bytes, int_seen, cum_seen) = self._hot
-            tbl_itbs = self._tbl_itbs
-            mode_pos = self._mode_pos
-            gbr_slots = self._gbr_slots
-            # Without GBR bearers the PF candidate set can be built fused
-            # into the claims loop (phase 1 never touches demand); with
-            # them it is rebuilt after the GBR phase, like the reference.
-            fused_cand = not gbr_slots
-            step_act: list[int] = []
-            active_list: list[int] = []
-            cand: list[int] = []
-            weights: list[float] = []
-            caps: list[float] = []
-            pruned = False
-            for i in act_slots:
-                video = videos_h[i]
-                if video is None:
-                    backlog = math.inf
-                elif video._download_active:
-                    backlog = video._remaining_bytes
+            if self._vec_bucket != self._tbl_bucket:
+                # New fading bucket: batch the per-slot table lookups
+                # the scalar claims loop performs (same table, same
+                # indices).
+                self._vec_bucket = self._tbl_bucket
+                if self._tbl_slots:
+                    self._v_bpp[self._v_tbl] = _BPP_NP[
+                        np.array(self._tbl_itbs)]
+            return _SWEEP
+        # --- Claims over the maybe-backlogged set. ---------------
+        (modes, const_bpp, bpp, wanted, demand, videos_h, channels,
+         cwnd, step_over_rtt, mbr_cap, pf_avg, pf_seen, alloc_prbs,
+         alloc_bytes, zeros, totals, idle, init_cwnd, max_cwnd,
+         growth, rtt_over_step, int_prbs, int_bytes, cum_prbs,
+         cum_bytes, int_seen, cum_seen) = self._hot
+        tbl_itbs = self._tbl_itbs
+        mode_pos = self._mode_pos
+        gbr_slots = self._gbr_slots
+        # Without GBR bearers the PF candidate set can be built fused
+        # into the claims loop (phase 1 never touches demand); with
+        # them it is rebuilt after the GBR phase, like the reference.
+        fused_cand = not gbr_slots
+        step_act: list[int] = []
+        active_list: list[int] = []
+        cand: list[int] = []
+        weights: list[float] = []
+        caps: list[float] = []
+        pruned = False
+        for i in act_slots:
+            video = videos_h[i]
+            if video is None:
+                backlog = math.inf
+            elif video._download_active:
+                backlog = video._remaining_bytes
+            else:
+                # Download finished or was abandoned: the slot reverts
+                # to the reference's idle branch (wanted = 0, lazy idle
+                # accumulation from this step onwards).  demand is
+                # pinned to 0.0 so the GBR phase sees the reference
+                # value for slots the claims loop no longer visits.
+                wanted[i] = 0.0
+                demand[i] = 0.0
+                member[i] = False
+                pruned = True
+                continue
+            step_act.append(i)
+            mode = modes[i]
+            if mode == _CONST:
+                bytes_per_prb = const_bpp[i]
+            elif mode == _TABLE:
+                bytes_per_prb = BYTES_PER_PRB_TABLE[tbl_itbs[mode_pos[i]]]
+            elif mode == _CYCLIC:
+                # Inline CyclicItbsChannel.itbs_at (numpy-free, same
+                # operations, ``round`` half to even).
+                pos = mode_pos[i]
+                cycle = self._cyc_cycle[pos]
+                phase = ((now + self._cyc_off[pos]) % cycle) / cycle
+                if phase < 0.5:
+                    level = (self._cyc_lo[pos]
+                             + 2.0 * phase * self._cyc_span[pos])
                 else:
-                    # Download finished or was abandoned: the slot reverts
-                    # to the reference's idle branch (wanted = 0, lazy idle
-                    # accumulation from this step onwards).  demand is
-                    # pinned to 0.0 so the GBR phase sees the reference
-                    # value for slots the claims loop no longer visits.
-                    wanted[i] = 0.0
-                    demand[i] = 0.0
-                    member[i] = False
-                    pruned = True
+                    level = (self._cyc_hi[pos]
+                             - 2.0 * (phase - 0.5) * self._cyc_span[pos])
+                bytes_per_prb = BYTES_PER_PRB_TABLE[int(round(level))]
+            else:
+                # _PLAIN.  Not a pure function of ``now`` for mobile
+                # FadingChannels: mobility and fading draw lazily
+                # from one per-UE RNG and the iTbs is cached at the
+                # first query in each fading bucket, so which steps
+                # query a channel shapes its values.  This path
+                # queries idle slots only on controller and public
+                # steps, the object path on every step; the two
+                # diverge for mobile cells (see docs/simulator.md).
+                bytes_per_prb = BYTES_PER_PRB_TABLE[
+                    validate_itbs(channels[i].itbs_at(now))]
+            bpp[i] = bytes_per_prb
+            wanted[i] = backlog
+            if backlog <= 0:
+                flow_demand = 0.0
+            else:
+                limit = cwnd[i] * step_over_rtt[i]
+                flow_demand = backlog if backlog <= limit else limit
+                cap = mbr_cap[i]
+                if flow_demand > cap:
+                    flow_demand = cap
+            demand[i] = flow_demand
+            if flow_demand > 0:
+                active_list.append(i)
+                if fused_cand and flow_demand > 1e-9 and bytes_per_prb > 0:
+                    cand.append(i)
+                    achievable = (bytes_per_prb * 8) / step_s
+                    avg = pf_avg[i]
+                    weights.append(
+                        achievable / (avg if avg >= 1e3 else 1e3))
+                    caps.append(flow_demand / bytes_per_prb)
+        if pruned:
+            self._act_slots = [i for i in act_slots if member[i]]
+
+        # --- Phase 1: GBR guarantees in bearer-priority order. -------
+        # The scheduler's walk restricted to active bearer slots
+        # (the object path's per-bearer grant bookkeeping only feeds
+        # its tracer and checker).  The restriction is exact:
+        # a bearer slot outside the active set has demand pinned to
+        # 0.0, so the reference walk hits a no-op guard there —
+        # ``slot_bpp <= 0: continue`` or ``need <= 0: continue`` —
+        # never touching the budget or any per-slot state, and the
+        # budget-exhausted break still precedes the first grant-eligible
+        # slot.  Walking the active bearers in rank order therefore
+        # reproduces the full walk's grants and float sequence.
+        alloc_prbs[:] = zeros
+        alloc_bytes[:] = zeros
+        remaining_budget = self._budget
+        if gbr_slots:
+            gbr_rank = self._gbr_rank
+            gbr_rate = self._gbr_rate
+            gbr_act = [i for i in step_act if gbr_rank[i] >= 0]
+            if len(gbr_act) > 1:
+                gbr_act.sort(key=gbr_rank.__getitem__)
+            for slot in gbr_act:
+                slot_bpp = bpp[slot]
+                if slot_bpp <= 0:
                     continue
-                step_act.append(i)
-                mode = modes[i]
-                if mode == _CONST:
-                    bytes_per_prb = const_bpp[i]
-                elif mode == _TABLE:
-                    bytes_per_prb = BYTES_PER_PRB_TABLE[tbl_itbs[mode_pos[i]]]
-                elif mode == _CYCLIC:
-                    # Inline CyclicItbsChannel.itbs_at (numpy-free, same
-                    # operations, ``round`` half to even).
-                    pos = mode_pos[i]
-                    cycle = self._cyc_cycle[pos]
-                    phase = ((now + self._cyc_off[pos]) % cycle) / cycle
-                    if phase < 0.5:
-                        level = (self._cyc_lo[pos]
-                                 + 2.0 * phase * self._cyc_span[pos])
-                    else:
-                        level = (self._cyc_hi[pos]
-                                 - 2.0 * (phase - 0.5) * self._cyc_span[pos])
-                    bytes_per_prb = BYTES_PER_PRB_TABLE[int(round(level))]
-                else:
-                    # _PLAIN.  Not a pure function of ``now`` for mobile
-                    # FadingChannels: mobility and fading draw lazily
-                    # from one per-UE RNG and the iTbs is cached at the
-                    # first query in each fading bucket, so which steps
-                    # query a channel shapes its values.  This path
-                    # queries idle slots only on controller and public
-                    # steps, the object path on every step; the two
-                    # diverge for mobile cells (see docs/simulator.md).
-                    bytes_per_prb = BYTES_PER_PRB_TABLE[
-                        validate_itbs(channels[i].itbs_at(now))]
-                bpp[i] = bytes_per_prb
-                wanted[i] = backlog
-                if backlog <= 0:
-                    flow_demand = 0.0
-                else:
-                    limit = cwnd[i] * step_over_rtt[i]
-                    flow_demand = backlog if backlog <= limit else limit
-                    cap = mbr_cap[i]
-                    if flow_demand > cap:
-                        flow_demand = cap
-                demand[i] = flow_demand
-                if flow_demand > 0:
-                    active_list.append(i)
-                    if fused_cand and flow_demand > 1e-9 and bytes_per_prb > 0:
+                if remaining_budget <= 1e-12:
+                    break
+                slot_demand = demand[slot]
+                guarantee = gbr_rate[slot]
+                need = (guarantee if guarantee <= slot_demand
+                        else slot_demand)
+                if need <= 0:
+                    continue
+                prbs_needed = need / slot_bpp
+                prbs = (prbs_needed if prbs_needed <= remaining_budget
+                        else remaining_budget)
+                delivered = prbs * slot_bpp
+                remaining_budget -= prbs
+                demand[slot] = slot_demand - delivered
+                alloc_prbs[slot] += prbs
+                alloc_bytes[slot] += delivered
+
+        # --- Phase 2: proportional-fair waterfill of the rest. -------
+        if remaining_budget > 1e-12:
+            if not fused_cand:
+                # Post-GBR candidate rebuild.  The reference scans all
+                # slots; restricting to step_act is exact because every
+                # other slot has demand pinned to 0.0 (rescan/prune).
+                for i in step_act:
+                    if demand[i] > 1e-9 and bpp[i] > 0:
                         cand.append(i)
-                        achievable = (bytes_per_prb * 8) / step_s
+                        achievable = (bpp[i] * 8) / step_s
                         avg = pf_avg[i]
                         weights.append(
                             achievable / (avg if avg >= 1e3 else 1e3))
-                        caps.append(flow_demand / bytes_per_prb)
-            if pruned:
-                self._act_slots = [i for i in act_slots if member[i]]
-
-            # --- Phase 1: GBR guarantees in bearer-priority order. -------
-            # The scheduler's walk restricted to active bearer slots
-            # (the object path's per-bearer grant bookkeeping only feeds
-            # its tracer and checker).  The restriction is exact:
-            # a bearer slot outside the active set has demand pinned to
-            # 0.0, so the reference walk hits a no-op guard there —
-            # ``slot_bpp <= 0: continue`` or ``need <= 0: continue`` —
-            # never touching the budget or any per-slot state, and the
-            # budget-exhausted break still precedes the first grant-eligible
-            # slot.  Walking the active bearers in rank order therefore
-            # reproduces the full walk's grants and float sequence.
-            alloc_prbs[:] = zeros
-            alloc_bytes[:] = zeros
-            remaining_budget = self._budget
-            if gbr_slots:
-                gbr_rank = self._gbr_rank
-                gbr_rate = self._gbr_rate
-                gbr_act = [i for i in step_act if gbr_rank[i] >= 0]
-                if len(gbr_act) > 1:
-                    gbr_act.sort(key=gbr_rank.__getitem__)
-                for slot in gbr_act:
-                    slot_bpp = bpp[slot]
-                    if slot_bpp <= 0:
+                        caps.append(demand[i] / bpp[i])
+            if len(cand) == 1:
+                i = cand[0]
+                weight = weights[0]
+                share = remaining_budget * weight / weight
+                prb_cap = caps[0]
+                prbs = prb_cap if share >= prb_cap - 1e-12 else share
+                if prbs > 0:
+                    delivered = prbs * bpp[i]
+                    slot_demand = demand[i]
+                    if delivered > slot_demand:
+                        delivered = slot_demand
+                    demand[i] = slot_demand - delivered
+                    alloc_prbs[i] += prbs
+                    alloc_bytes[i] += delivered
+            elif cand:
+                grants = _waterfill(remaining_budget, caps, weights)
+                for g, i in enumerate(cand):
+                    prbs = grants[g]
+                    if prbs <= 0:
                         continue
-                    if remaining_budget <= 1e-12:
-                        break
-                    slot_demand = demand[slot]
-                    guarantee = gbr_rate[slot]
-                    need = (guarantee if guarantee <= slot_demand
-                            else slot_demand)
-                    if need <= 0:
-                        continue
-                    prbs_needed = need / slot_bpp
-                    prbs = (prbs_needed if prbs_needed <= remaining_budget
-                            else remaining_budget)
-                    delivered = prbs * slot_bpp
-                    remaining_budget -= prbs
-                    demand[slot] = slot_demand - delivered
-                    alloc_prbs[slot] += prbs
-                    alloc_bytes[slot] += delivered
+                    delivered = prbs * bpp[i]
+                    slot_demand = demand[i]
+                    if delivered > slot_demand:
+                        delivered = slot_demand
+                    demand[i] = slot_demand - delivered
+                    alloc_prbs[i] += prbs
+                    alloc_bytes[i] += delivered
 
-            # --- Phase 2: proportional-fair waterfill of the rest. -------
-            if remaining_budget > 1e-12:
-                if not fused_cand:
-                    # Post-GBR candidate rebuild.  The reference scans all
-                    # slots; restricting to step_act is exact because every
-                    # other slot has demand pinned to 0.0 (rescan/prune).
-                    for i in step_act:
-                        if demand[i] > 1e-9 and bpp[i] > 0:
-                            cand.append(i)
-                            achievable = (bpp[i] * 8) / step_s
-                            avg = pf_avg[i]
-                            weights.append(
-                                achievable / (avg if avg >= 1e3 else 1e3))
-                            caps.append(demand[i] / bpp[i])
-                if len(cand) == 1:
-                    i = cand[0]
-                    weight = weights[0]
-                    share = remaining_budget * weight / weight
-                    prb_cap = caps[0]
-                    prbs = prb_cap if share >= prb_cap - 1e-12 else share
-                    if prbs > 0:
-                        delivered = prbs * bpp[i]
-                        slot_demand = demand[i]
-                        if delivered > slot_demand:
-                            delivered = slot_demand
-                        demand[i] = slot_demand - delivered
-                        alloc_prbs[i] += prbs
-                        alloc_bytes[i] += delivered
-                elif cand:
-                    grants = _waterfill(remaining_budget, caps, weights)
-                    for g, i in enumerate(cand):
-                        prbs = grants[g]
-                        if prbs <= 0:
-                            continue
-                        delivered = prbs * bpp[i]
-                        slot_demand = demand[i]
-                        if delivered > slot_demand:
-                            delivered = slot_demand
-                        demand[i] = slot_demand - delivered
-                        alloc_prbs[i] += prbs
-                        alloc_bytes[i] += delivered
+        # --- PF served-average EWMA (active flows only). -------------
+        decay = step_s / self._sched_obj.pf.time_constant_s
+        if decay > 1.0:
+            decay = 1.0
+        one_minus = 1 - decay
+        for i in active_list:
+            rate = (alloc_bytes[i] * 8) / step_s
+            pf_avg[i] = one_minus * pf_avg[i] + decay * rate
+            pf_seen[i] = True
 
-            # --- PF served-average EWMA (active flows only). -------------
-            decay = step_s / self._sched_obj.pf.time_constant_s
-            if decay > 1.0:
-                decay = 1.0
-            one_minus = 1 - decay
-            for i in active_list:
-                rate = (alloc_bytes[i] * 8) / step_s
-                pf_avg[i] = one_minus * pf_avg[i] + decay * rate
-                pf_seen[i] = True
+        # --- Delivery over the backlogged slots. ---------------------
+        fast_steps = self._fast_steps
+        idle_sync = self._idle_sync
+        slot_pl = self._slot_pl
+        for i in step_act:
+            delivered = alloc_bytes[i]
+            prbs = alloc_prbs[i]
+            totals[i] += delivered
+            # wanted[i] > 0 here: the reference's active TCP branch.
+            idle[i] = 0.0
+            idle_sync[i] = fast_steps + 1
+            flow_wanted = wanted[i]
+            limit = cwnd[i] * step_over_rtt[i]
+            window_min = flow_wanted if flow_wanted <= limit else limit
+            if delivered >= window_min - 1e-9:
+                grown = cwnd[i] * growth[i]
+                cwnd[i] = grown if grown <= max_cwnd[i] else max_cwnd[i]
+            else:
+                granted_per_rtt = delivered * rtt_over_step[i]
+                target = granted_per_rtt * 1.25
+                if target < init_cwnd[i]:
+                    target = init_cwnd[i]
+                cwnd[i] += 0.5 * (target - cwnd[i])
+            if delivered > 0:
+                video = videos_h[i]
+                if video is not None and video._download_active:
+                    remaining = video._remaining_bytes - delivered
+                    if remaining <= 1e-6:
+                        # Completion boundary.  The callback chain
+                        # (HasPlayer._on_complete) reads only
+                        # player-local state, but the mirrors are
+                        # written back in full first so any observer
+                        # sees the reference-path object state; lazy
+                        # playback of the completing player is
+                        # replayed before the callback runs.
+                        self._flush_mirrors()
+                        pj = slot_pl[i]
+                        if pj is not None and self._pl_mode[pj] != _PL_HOT:
+                            self._pl_materialize(pj, end)
+                            insort(self._pl_hot_list, pj)
+                        video._remaining_bytes = 0.0
+                        video._download_active = False
+                        callback = video._completion_callback
+                        video._completion_callback = None
+                        if callback is not None:
+                            callback()
+                        if (not self._dirty and cell.registry.version
+                                != self._reg_version):
+                            self._resync_registry()
+                        self._mirrors_hot = True
+                    else:
+                        video._remaining_bytes = remaining
+            if prbs > 0 or delivered > 0:
+                # Inlined RbTraceModule.record.
+                int_prbs[i] += prbs
+                int_bytes[i] += delivered
+                cum_prbs[i] += prbs
+                cum_bytes[i] += delivered
+                int_seen[i] = True
+                cum_seen[i] = True
+                if end > self._tr_now:
+                    self._tr_now = end
+        self._scalar_steps += 1
+        self._step_tail(end, bool(active_list))
+        return _STEPPED
 
-            # --- Delivery over the backlogged slots. ---------------------
-            fast_steps = self._fast_steps
-            idle_sync = self._idle_sync
-            slot_pl = self._slot_pl
-            for i in step_act:
-                delivered = alloc_bytes[i]
-                prbs = alloc_prbs[i]
-                totals[i] += delivered
-                # wanted[i] > 0 here: the reference's active TCP branch.
-                idle[i] = 0.0
-                idle_sync[i] = fast_steps + 1
-                flow_wanted = wanted[i]
-                limit = cwnd[i] * step_over_rtt[i]
-                window_min = flow_wanted if flow_wanted <= limit else limit
-                if delivered >= window_min - 1e-9:
-                    grown = cwnd[i] * growth[i]
-                    cwnd[i] = grown if grown <= max_cwnd[i] else max_cwnd[i]
-                else:
-                    granted_per_rtt = delivered * rtt_over_step[i]
-                    target = granted_per_rtt * 1.25
-                    if target < init_cwnd[i]:
-                        target = init_cwnd[i]
-                    cwnd[i] += 0.5 * (target - cwnd[i])
-                if delivered > 0:
-                    video = videos_h[i]
-                    if video is not None and video._download_active:
-                        remaining = video._remaining_bytes - delivered
-                        if remaining <= 1e-6:
-                            # Completion boundary.  The callback chain
-                            # (HasPlayer._on_complete) reads only
-                            # player-local state, but the mirrors are
-                            # written back in full first so any observer
-                            # sees the reference-path object state; lazy
-                            # playback of the completing player is
-                            # replayed before the callback runs.
-                            self._flush_mirrors()
-                            pj = slot_pl[i]
-                            if pj is not None and self._pl_mode[pj] != _PL_HOT:
-                                self._pl_materialize(pj, end)
-                                insort(self._pl_hot_list, pj)
-                            video._remaining_bytes = 0.0
-                            video._download_active = False
-                            callback = video._completion_callback
-                            video._completion_callback = None
-                            if callback is not None:
-                                callback()
-                            if (not self._dirty and cell.registry.version
-                                    != self._reg_version):
-                                self._resync_registry()
-                            self._mirrors_hot = True
-                        else:
-                            video._remaining_bytes = remaining
-                if prbs > 0 or delivered > 0:
-                    # Inlined RbTraceModule.record.
-                    int_prbs[i] += prbs
-                    int_bytes[i] += delivered
-                    cum_prbs[i] += prbs
-                    cum_bytes[i] += delivered
-                    int_seen[i] = True
-                    cum_seen[i] = True
-                    if end > self._tr_now:
-                        self._tr_now = end
-            active_any = bool(active_list)
-
+    def _step_tail(self, end: float, active_any: bool) -> None:
+        """Playback and clock advance closing every fast step."""
         # --- Playback: hot players only (lazy drains are replayed). --
+        playing = PlaybackState.PLAYING
+        issue_info = self._issue_info
+        step_s = self._step_s
         hot = self._pl_hot_list
         for j in hot:
             info = issue_info[j]
@@ -2014,13 +1908,12 @@ class TtiKernel:
             else:
                 player.advance_playback(end, step_s)
 
-        cell._now_s = end
+        self._cell._now_s = end
         self._fast_steps += 1
         if hot:
             self._pl_hot_list = [j for j in hot
                                  if not self._pl_try_lazy(j, end)]
         self._last_idle = not active_any
-        return True
 
     def _fill_table(self, now: float, bucket: int) -> None:
         """Refresh the per-slot iTbs snapshot for one fading bucket.
@@ -2084,34 +1977,345 @@ def _waterfill(budget: float, caps: list[float],
     return grants
 
 
-def run_cells(cells: Sequence[Cell], until_s: float) -> int:
-    """Advance a batch of cells to ``until_s``, one fused kernel
-    invocation per cell.
+class _VecStack:
+    """One stacked numpy MAC pass per TTI over a group's vector-hot cells.
 
-    This is the multi-cell network's intra-shard batch entry point:
-    within an exchange epoch cells are fully independent (interference
+    The group's hot cells own one concatenated column per vector-lane
+    shadow (:attr:`COLUMNS`), cell after cell; each cell's ``_v_*``
+    attributes are views of its segment, so everything a cell does to
+    its lane between sweeps (joins, completions, table refreshes,
+    flushes) reads and writes the stack directly.  The columns are
+    re-concatenated only when the hot set changes or a cell asks for
+    it (``_vec_stale``): thanks to the entry/exit hysteresis, a few
+    times per exchange epoch.
+
+    A sweep runs the lane's whole MAC phase — claims, GBR, PF, EWMA,
+    delivery — once over the concatenation, so numpy's per-call
+    overhead is paid once per group, not once per cell.  Byte-identity
+    with the scalar lane rests on three
+    facts: elementwise float64 numpy arithmetic performs the same IEEE
+    operations as the scalar expressions it replaces; ``x + 0.0`` and
+    ``x - 0.0`` are exact for the non-negative quantities accumulated
+    here, so full-width updates match the reference's skip-if-zero
+    guards; and the order-sensitive reductions — each cell's GBR budget
+    walk and PF waterfill — run per cell as exact sequential chains on
+    python floats extracted bit-for-bit from the columns
+    (``TtiKernel._gbr_chain`` and ``_waterfill``).  Per-cell "any"
+    tests are segmented reductions.  (``bpp > 0`` for every hot slot:
+    only an outage wrapper yields 0, and those channels keep a cell off
+    the lane.)
+    """
+
+    #: Per-slot vector-lane shadows, stacked across the group's cells.
+    COLUMNS = (
+        "_v_mask", "_v_cwnd", "_v_totals", "_v_pf", "_v_pfseen",
+        "_v_wanted", "_v_demand", "_v_bpp", "_v_backlog", "_v_ip",
+        "_v_ib", "_v_cp", "_v_cb", "_v_iseen", "_v_cseen", "_v_sor",
+        "_v_ros", "_v_grow", "_v_init", "_v_max", "_v_mbr", "_v_step",
+        "_v_decay", "_v_keep",
+    )
+
+    def __init__(self) -> None:
+        #: Sweeps run and cells they covered (see :class:`LaneSteps`).
+        self.sweeps = 0
+        self.swept_cells = 0
+        self._kernels: list[TtiKernel] = []
+        self._size = -1
+        self._cols: tuple[Any, ...] = ()
+        self._bounds: list[int] = []      # segment starts + total
+        self._starts: Any = None          # segment starts (reduceat)
+        self._bound_arr: Any = None       # segment bounds (searchsorted)
+        self._budgets: list[float] = []
+        self._g_idx: Any = None           # stacked GBR walk (slot indices)
+        self._g_rate: Any = None          # per-step guarantees, same order
+        self._g_spans: list[tuple[int, int]] = []
+        self._scratch: tuple[Any, ...] = ()
+
+    def _restack(self, kernels: list[TtiKernel]) -> None:
+        """Concatenate the hot cells' shadows; re-point them as views."""
+        npx = np
+        self._kernels = list(kernels)
+        bounds = [0]
+        for kernel in kernels:
+            bounds.append(bounds[-1] + kernel._n)
+        size = bounds[-1]
+        segments = list(zip(bounds, bounds[1:]))
+        cols = []
+        for name in self.COLUMNS:
+            if len(kernels) == 1:
+                # A group of one stacks in place: its own arrays are
+                # the columns.
+                cols.append(getattr(kernels[0], name))
+                continue
+            col = npx.concatenate([getattr(k, name) for k in kernels])
+            for kernel, (lo, hi) in zip(kernels, segments):
+                setattr(kernel, name, col[lo:hi])
+            cols.append(col)
+        self._cols = tuple(cols)
+        self._bounds = bounds
+        self._starts = npx.array(bounds[:-1], dtype=npx.intp)
+        self._bound_arr = npx.array(bounds, dtype=npx.intp)
+        self._budgets = [kernel._budget for kernel in kernels]
+        # The GBR walk in bearer-rank order, cell after cell.
+        walks = [kernel._vg_slots + lo
+                 for kernel, (lo, _hi) in zip(kernels, segments)]
+        g_bounds = [0]
+        for walk in walks:
+            g_bounds.append(g_bounds[-1] + walk.size)
+        self._g_idx = npx.concatenate(walks)
+        self._g_rate = npx.concatenate([k._vg_rates for k in kernels])
+        self._g_spans = list(zip(g_bounds, g_bounds[1:]))
+        if size != self._size:
+            # Per-step scratch (reused via ``out=``): limit, PRB and
+            # byte allocations, four temporaries, then the bool masks
+            # active / window-met / candidate / granted / completed.
+            self._size = size
+            self._scratch = (
+                tuple(npx.empty(size) for _ in range(7))
+                + tuple(npx.empty(size, dtype=bool) for _ in range(5)))
+        for kernel in kernels:
+            kernel._vec_stale = False
+
+    def sweep(self, kernels: list[TtiKernel]) -> None:
+        """Claims -> GBR -> PF -> EWMA -> delivery for every hot cell.
+
+        ``kernels`` have each run the head of their step and returned
+        ``_SWEEP``; each then gets :meth:`TtiKernel._vec_finish` for
+        its completions and playback tail, in group order.
+        """
+        if kernels != self._kernels or any(k._vec_stale for k in kernels):
+            self._restack(kernels)
+        self.sweeps += 1
+        self.swept_cells += len(kernels)
+        npx = np
+        (mask, cwnd, totals, pf, pfseen, wanted, fd, bpp, backlog, ip,
+         ib, cp, cb, iseen, cseen, sor, ros, grow, init, cmax, mbr,
+         step, decay, keep) = self._cols
+        (limit, a_p, a_b, t1, t2, t3, t4, active, sel, cand, granted,
+         comp) = self._scratch
+
+        # --- Claims: demand = min(backlog, window, MBR cap). ---------
+        npx.multiply(cwnd, sor, out=limit)
+        npx.minimum(backlog, limit, out=fd)
+        npx.minimum(fd, mbr, out=fd)
+        npx.greater(fd, 0.0, out=active)
+
+        # --- Phase 1: GBR guarantees in bearer-priority order. -------
+        # The walk is gathered in rank order, cell after cell.  Each
+        # cell's budget chain runs on its own slice of the asks; asks
+        # past a cell's cutoff are zeroed, so committing every ask
+        # stores exactly the reference's untouched values there, and a
+        # clamped partial grant is written on top.
+        remaining = list(self._budgets)
+        a_p.fill(0.0)
+        a_b.fill(0.0)
+        g = self._g_idx
+        if g.size:
+            d_g = fd[g]
+            b_g = bpp[g]
+            asks = npx.minimum(self._g_rate, d_g)
+            npx.divide(asks, b_g, out=asks)
+            ask_list = asks.tolist()
+            chain = TtiKernel._gbr_chain
+            parts: list[tuple[int, float]] = []
+            for c, (lo, hi) in enumerate(self._g_spans):
+                if lo == hi:
+                    continue
+                cut, part, remaining[c] = chain(ask_list[lo:hi],
+                                                remaining[c])
+                if lo + cut < hi:
+                    asks[lo + cut:hi] = 0.0
+                    if part is not None:
+                        parts.append((lo + cut, part))
+            delivered = asks * b_g
+            a_p[g] = asks
+            a_b[g] = delivered
+            fd[g] = d_g - delivered
+            for gi, part in parts:
+                slot = int(g[gi])
+                got = part * float(b_g[gi])
+                a_p[slot] = part
+                a_b[slot] = got
+                fd[slot] = float(d_g[gi]) - got
+
+        # --- Phase 2: proportional-fair waterfill of the rest. -------
+        # Candidates of cells whose budget is spent get a zero grant,
+        # which commits as an exact no-op.
+        filling = [c for c, left in enumerate(remaining) if left > 1e-12]
+        if filling:
+            npx.greater(fd, 1e-9, out=cand)
+            cand_idx = npx.nonzero(cand)[0]
+            if cand_idx.size:
+                cuts = npx.searchsorted(cand_idx, self._bound_arr).tolist()
+                dc = fd[cand_idx]
+                bc = bpp[cand_idx]
+                ach = (bc * 8) / step[cand_idx]
+                weights = (ach / npx.maximum(pf[cand_idx], 1e3)).tolist()
+                caps = (dc / bc).tolist()
+                grants = [0.0] * len(caps)
+                for c in filling:
+                    lo = cuts[c]
+                    hi = cuts[c + 1]
+                    if hi - lo == 1:
+                        weight = weights[lo]
+                        share = remaining[c] * weight / weight
+                        prb_cap = caps[lo]
+                        grants[lo] = (prb_cap if share >= prb_cap - 1e-12
+                                      else share)
+                    elif hi > lo:
+                        # The waterfill's round structure is
+                        # order-sensitive; tolist() hands it the same
+                        # doubles as python floats.
+                        grants[lo:hi] = _waterfill(
+                            remaining[c], caps[lo:hi], weights[lo:hi])
+                gr = npx.array(grants)
+                got_c = npx.minimum(gr * bc, dc)
+                fd[cand_idx] = dc - got_c
+                a_p[cand_idx] += gr
+                a_b[cand_idx] += got_c
+
+        # --- PF served-average EWMA (positive-demand flows only). ----
+        npx.multiply(a_b, 8, out=t1)
+        npx.divide(t1, step, out=t1)                # rate
+        npx.multiply(t1, decay, out=t1)             # decay * rate
+        npx.multiply(pf, keep, out=t2)
+        npx.add(t2, t1, out=t2)
+        npx.copyto(pf, t2, where=active)
+        npx.logical_or(pfseen, active, out=pfseen)
+
+        # --- Delivery: totals, TCP window, backlog, RB trace. --------
+        npx.add(totals, a_b, out=totals)
+        npx.minimum(backlog, limit, out=t1)         # window_min
+        npx.subtract(t1, 1e-9, out=t1)
+        npx.greater_equal(a_b, t1, out=sel)
+        npx.multiply(cwnd, grow, out=t2)
+        npx.minimum(t2, cmax, out=t2)               # grown
+        npx.multiply(a_b, ros, out=t3)
+        npx.multiply(t3, 1.25, out=t3)
+        npx.maximum(t3, init, out=t3)               # target
+        npx.subtract(t3, cwnd, out=t4)
+        npx.multiply(t4, 0.5, out=t4)
+        npx.add(cwnd, t4, out=t4)                   # shrunk
+        npx.copyto(t4, t2, where=sel)
+        npx.copyto(cwnd, t4, where=mask)
+        # bpp > 0 for every hot slot, so bytes were delivered exactly
+        # when PRBs were granted: one comparison covers both.
+        npx.greater(a_b, 0.0, out=granted)
+        # This step's start backlog becomes the recorded "wanted" (the
+        # reference writes ``wanted[i] = backlog`` in its claims loop).
+        npx.copyto(wanted, backlog)
+        npx.subtract(backlog, a_b, out=backlog)
+        npx.less_equal(backlog, 1e-6, out=comp)
+        npx.logical_and(comp, granted, out=comp)
+        npx.add(ip, a_p, out=ip)
+        npx.add(ib, a_b, out=ib)
+        npx.add(cp, a_p, out=cp)
+        npx.add(cb, a_b, out=cb)
+        npx.logical_or(iseen, granted, out=iseen)
+        npx.logical_or(cseen, granted, out=cseen)
+
+        # --- Per cell: trace clock, completions, playback tail. ------
+        starts = self._starts
+        granted_any = npx.logical_or.reduceat(granted, starts).tolist()
+        active_any = npx.logical_or.reduceat(active, starts).tolist()
+        done: list[list[int]] = [[] for _ in kernels]
+        if comp.any():
+            bounds = self._bounds
+            c = 0
+            for i in npx.nonzero(comp)[0].tolist():
+                while i >= bounds[c + 1]:
+                    c += 1
+                done[c].append(i - bounds[c])
+        for c, kernel in enumerate(kernels):
+            kernel._vec_finish(done[c], granted_any[c], active_any[c])
+
+
+def _lockstep(kernels: list[TtiKernel], until_s: float,
+              stack: _VecStack) -> list[TtiKernel]:
+    """Advance entered kernels to ``until_s``, one vector step per round.
+
+    Every round each live cell runs its share (:meth:`TtiKernel._advance`);
+    the cells that came back vector-hot then share one stacked sweep.
+    Returns the kernels that declined mid-run (object state
+    authoritative; their cells continue on the object path).
+    """
+    end_gate = until_s - 1e-9
+    live = kernels
+    declined: list[TtiKernel] = []
+    while live:
+        hot: list[TtiKernel] = []
+        for kernel in live:
+            state = kernel._advance(end_gate)
+            if state == _SWEEP:
+                hot.append(kernel)
+            elif state == _DECLINED:
+                declined.append(kernel)
+        if hot:
+            stack.sweep(hot)
+        live = hot
+    return declined
+
+
+def _lane_totals(cells: Sequence[Cell]) -> tuple[int, int]:
+    """Summed (vector, scalar) MAC cell-steps of the cells' kernels."""
+    vector = scalar = 0
+    for cell in cells:
+        kernel = cell._kernel
+        if kernel is not None:
+            vector += kernel._vec_steps
+            scalar += kernel._scalar_steps
+    return vector, scalar
+
+
+def run_cells(cells: Sequence[Cell], until_s: float,
+              lanes: Optional[LaneSteps] = None) -> int:
+    """Advance a batch of cells to ``until_s`` as one lockstep group.
+
+    This is the multi-cell network's intra-shard batch entry point.
+    Within an exchange epoch cells are fully independent (interference
     penalties are frozen, handovers happen only at epoch boundaries),
-    so instead of the lockstep per-step Python loop — N cells x M
-    steps of interleaved ``Cell.step()`` dispatch — each cell's whole
-    epoch runs as a single :meth:`TtiKernel.run` call over its
-    struct-of-arrays mirrors.  Cells whose configuration the kernel
-    cannot mirror (or with the kernel disabled) fall back to their
-    object step loop, cell by cell; either way every cell reaches
-    ``until_s`` and ends on a flushed observation boundary.
+    so the batch advances in rounds: every round each cell steps on
+    its own struct-of-arrays mirrors — scalar-lane steps and idle
+    fast-forward strides — up to its next vector-lane step, and the
+    round's vector-hot cells run that step's MAC phase as one stacked
+    numpy sweep (:class:`_VecStack`).
+    Cells whose configuration the kernel cannot mirror, that arm
+    object-path observability or a step hook, or with the kernel
+    disabled, run their object step loop instead, cell by cell; either
+    way every cell reaches ``until_s`` and ends on a flushed
+    observation boundary.
+
+    Args:
+        cells: the batch (a shard's cells).
+        until_s: the epoch end.
+        lanes: when given, the call's MAC work counts are added to it.
 
     Returns:
         The number of cells that ran on the fast path (feeds the
         ``BENCH_metro.json`` artifact).
     """
     require_positive("until_s", until_s)
-    fast = 0
+    if lanes is not None:
+        before = _lane_totals(cells)
+    kernels: list[TtiKernel] = []
+    objects: list[Cell] = []
     for cell in cells:
         if cell.now_s >= until_s - 1e-9:
             continue
         kernel = cell._active_kernel()
-        if kernel is not None and kernel.run(until_s):
-            fast += 1
-            continue
+        if (kernel is not None and not kernel._object_only()
+                and kernel._enter()):
+            kernels.append(kernel)
+        else:
+            objects.append(cell)
+    stack = _VecStack()
+    declined = _lockstep(kernels, until_s, stack)
+    objects.extend(kernel._cell for kernel in declined)
+    for cell in objects:
         while cell.now_s < until_s - 1e-9:
             cell.step()
-    return fast
+    if lanes is not None:
+        vector, scalar = _lane_totals(cells)
+        lanes.add(LaneSteps(vector - before[0], scalar - before[1],
+                            stack.sweeps, stack.swept_cells))
+    return len(kernels) - len(declined)

@@ -18,8 +18,10 @@ state.  That independence is what makes three execution modes produce
 * ``lockstep`` — every cell advances one fluid step before any cell
   takes its next (:func:`~repro.sim.engine.advance_cells_lockstep`);
   the reference schedule the old ``MultiCellScenario`` used.
-* batched (``shards=1``) — each cell runs its whole epoch in one
-  :func:`~repro.sim.kernel.run_cells` kernel invocation.
+* batched (``shards=1``) — the shard's cells run each epoch as one
+  TTI-lockstep group (:func:`~repro.sim.kernel.run_cells`): every cell
+  takes its own fast step, and the vector-hot cells share one stacked
+  numpy MAC sweep per TTI.
 * sharded (``shards>1``) — cells are partitioned into contiguous
   blocks across a persistent process pool
   (:class:`~repro.experiments.parallel.ShardPool`); only cross-shard
@@ -76,7 +78,7 @@ from repro.phy.pathloss import LinkBudget, LogDistancePathLoss
 from repro.phy.tbs import PRB_PER_TTI_10MHZ, TTI_MS
 from repro.sim.cell import Cell
 from repro.sim.engine import advance_cells_lockstep
-from repro.sim.kernel import kernel_enabled, run_cells
+from repro.sim.kernel import LaneSteps, kernel_enabled, run_cells
 from repro.util import (
     cross_shard_message,
     require_non_negative,
@@ -707,16 +709,19 @@ class NetworkShard:
                              loss[rows, serving_arr], loss[rows, best])
 
     def advance(self, epoch_end_s: float, penalties: Mapping[int, float],
-                lockstep: bool = False) -> tuple[dict[int, float], int]:
+                lockstep: bool = False,
+                ) -> tuple[dict[int, float], int, LaneSteps]:
         """Run every cell of the shard to the epoch boundary.
 
         Installs the epoch's frozen interference penalties, primes
         every channel's per-bucket iTbs table for the epoch (kernel
         mode only — the lockstep reference keeps the pure scalar
-        path), advances all cells (one fused kernel invocation per
-        cell, or the per-step lockstep reference schedule), and
+        path), advances all cells (the shard's cells as one
+        TTI-lockstep kernel group with one stacked vector MAC sweep
+        per TTI, or the per-step lockstep reference schedule), and
         returns ``(cumulative PRBs per cell, cells that ran on the
-        kernel fast path)``.
+        kernel fast path, the epoch's MAC lane counts)``; the lane
+        counts stay zero in lockstep mode.
         """
         self.penalties.replace(penalties)
         cells = [built.cell for built in self._built.values()]
@@ -730,16 +735,17 @@ class NetworkShard:
             # runs in every mode — lockstep, kernel-batched, sharded —
             # and is byte-identical to the scalar controller path.
             self._batch_bai.sweep(cells)
+        lanes = LaneSteps()
         if lockstep:
             advance_cells_lockstep(cells, epoch_end_s)
             fast = 0
         else:
-            fast = run_cells(cells, epoch_end_s)
+            fast = run_cells(cells, epoch_end_s, lanes)
         usage = {
             cell_id: built.cell.trace.total_cumulative_prbs()
             for cell_id, built in self._built.items()
         }
-        return usage, fast
+        return usage, fast, lanes
 
     def _prime_epoch(self, cells: Sequence[Cell],
                      epoch_end_s: float) -> None:
@@ -909,6 +915,10 @@ class Network:
             ``(time, flow)``, populated by :meth:`run`.
         kernel_cell_runs: cell-epochs that ran on the TTI kernel fast
             path (scaling-study diagnostic).
+        lane_steps: exact MAC work counts summed over shards and
+            epochs (:class:`~repro.sim.kernel.LaneSteps`): cell-steps
+            on the vector and scalar lanes, stacked sweeps and the
+            cells they covered.  Zero in lockstep mode.
         pipeline: occupancy statistics for the last sharded
             :meth:`run` (empty for in-process runs): ``shards``,
             ``epochs``, the epoch loop's ``wall_s``, per-shard
@@ -930,6 +940,7 @@ class Network:
         self.handover_count = 0
         self.records: list[HandoverRecord] = []
         self.kernel_cell_runs = 0
+        self.lane_steps = LaneSteps()
         self.pipeline: dict[str, Any] = {}
 
     def serving_cell(self, ue_id: int) -> int:
@@ -1090,11 +1101,17 @@ class Network:
                 cell count; cells are assigned in contiguous blocks so
                 grid neighbours usually share a shard).
             lockstep: use the per-step reference schedule instead of
-                per-cell kernel batching (single-process only).
+                the shard's lockstep kernel group (single-process
+                only).
 
         Returns:
             ``{cell_id: CellReport}`` for every cell, regardless of
             which shard ran it.
+
+        Raises:
+            ShardPoolError: a shard worker died or failed; the message
+                names the shard, its exit code, the pending request
+                and the epoch (index and end time).
         """
         require_positive("duration_s", duration_s)
         num_cells = self.plan.sites.num_cells
@@ -1120,6 +1137,9 @@ class Network:
 
         pool = None
         local: NetworkShard | None = None
+        # Worker failures are re-raised naming the epoch (none can
+        # occur in-process).
+        pool_errors: tuple[type[Exception], ...] = ()
         if shards == 1:
             local = NetworkShard(self.plan, assignment[0])
             self._local = local
@@ -1127,12 +1147,20 @@ class Network:
             # Deferred import: repro.experiments pulls in workload
             # scenario modules, which must not load just because the
             # sim layer was imported.
-            from repro.experiments.parallel import DRAIN_OBS, ShardPool
+            from repro.experiments.parallel import (
+                DRAIN_OBS,
+                ShardPool,
+                ShardPoolError,
+            )
+            pool_errors = (ShardPoolError,)
             pool = ShardPool(NetworkShard,
                              [(self.plan, cell_ids)
                               for cell_ids in assignment])
 
         self.pipeline = {}
+        epoch_index = 0
+        where = (f"epoch 0, ending at t="
+                 f"{min(self.plan.exchange_s, duration_s):g} s")
         try:
             usage_prev = dict.fromkeys(range(num_cells), 0.0)
             util = dict.fromkeys(range(num_cells), 0.0)
@@ -1163,10 +1191,10 @@ class Network:
             if profiler is not None:
                 profiler.end()
             now = 0.0
-            epoch_index = 0
             loop_started = clock()
             while now < duration_s - 1e-9:
                 epoch_end = min(now + self.plan.exchange_s, duration_s)
+                where = f"epoch {epoch_index}, ending at t={epoch_end:g} s"
                 final = epoch_end >= duration_s - 1e-9
                 applied = directives
                 if profiler is not None:
@@ -1250,9 +1278,10 @@ class Network:
                         if profiler is not None:
                             profiler.switch("net.advance")
                 usages: dict[int, float] = {}
-                for usage, fast in replies:
+                for usage, fast, lanes in replies:
                     usages.update(usage)
                     self.kernel_cell_runs += fast
+                    self.lane_steps.add(lanes)
                 if profiler is not None:
                     profiler.switch("net.exchange")
                 penalties = self._exchange(usages, usage_prev, util,
@@ -1279,6 +1308,7 @@ class Network:
                     "occupancy": [1.0 - frac for frac in blocked],
                 }
 
+            where = f"report collection after {epoch_index} epochs"
             if pool is not None:
                 report_maps = pool.broadcast("reports",
                                              [(duration_s,)] * shards)
@@ -1288,6 +1318,8 @@ class Network:
                 assert local is not None
                 report_maps = [local.reports(duration_s)]
                 record_lists = [local.handover_records()]
+        except pool_errors as exc:
+            raise type(exc)(f"{exc} [{where}]") from exc
         finally:
             if pool is not None:
                 pool.close()

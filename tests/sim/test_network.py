@@ -12,23 +12,32 @@ healthy cell.
 """
 
 import math
+import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
 
 from repro import check as chk
+from repro.abr.festive import Festive
 from repro.core.batch import batch_bai_mode
 from repro.core.plugin import FlarePlugin
-from repro.has.player import PlaybackState
+from repro.experiments.parallel import ShardPoolError
+from repro.has.mpd import TESTBED_LADDER, MediaPresentation
+from repro.has.player import PlaybackState, PlayerConfig
+from repro.mac.gbr import BearerQos
+from repro.metrics.collector import MetricsSampler, collect_cell_report
 from repro.metrics.serialize import dump_cell_report
+from repro.net.flows import UserEquipment, reset_entity_ids
 from repro.obs import prof
 from repro.obs.telemetry import collecting
 from repro.obs.tracer import tracing
 from repro.phy.channel import StaticItbsChannel
+from repro.sim import Cell, CellConfig
 from repro.sim import kernel as kernel_mod
 from repro.sim.engine import advance_cells_lockstep
-from repro.sim.kernel import TtiKernel, kernel_mode
+from repro.sim.kernel import LaneSteps, TtiKernel, kernel_mode, run_cells
 from repro.sim.network import (
     MetroChannel,
     Network,
@@ -276,8 +285,197 @@ def dense_plan(seed=0, ues_per_cell=64):
                             seed=seed, isd_m=300.0, coupling_db=6.0)
 
 
+class _GbrRetune:
+    """A non-observer controller: retunes every other GBR bearer."""
+
+    interval_s = 3.0
+
+    def __init__(self):
+        self.fired = 0
+
+    def on_interval(self, now_s, cell):
+        self.fired += 1
+        for flow in cell.flows[::2]:
+            cell.registry.update_gbr(
+                flow.flow_id, 100_000.0 * (1 + self.fired % 3),
+                time_s=now_s)
+
+
+class _HookAt:
+    """Registers a step hook when it first fires (object path after)."""
+
+    interval_s = 1000.0
+
+    def on_interval(self, now_s, cell):
+        cell.add_step_hook(lambda end_s: None)
+
+
+def lockstep_batch(permuted):
+    """Six static-channel cells covering every lockstep-driver case.
+
+    ``exhaust`` and ``fill`` are vector-hot on the same TTIs: the
+    first's guarantees run the PRB budget dry mid-walk, the second
+    keeps budget for multi-candidate PF waterfills.  ``cross`` streams
+    a short video, so its active set drops below ``_VEC_EXIT``
+    mid-epoch; ``idle`` starts late and fast-forwards; ``hooked``
+    registers a step hook at t=5 s and finishes on the object path;
+    ``tuned`` has a non-observer controller retuning GBRs every 3 s.
+    With ``permuted`` the bearer priorities shuffle ``fill``'s GBR
+    walk out of slot order and some slots carry no bearer; otherwise
+    every slot has a bearer and every walk visits slots in order.
+    """
+    reset_entity_ids()
+    endless = MediaPresentation(ladder=TESTBED_LADDER,
+                                segment_duration_s=4.0)
+    short = MediaPresentation(ladder=TESTBED_LADDER,
+                              segment_duration_s=4.0,
+                              total_duration_s=16.0)
+
+    def build(videos, gbr_bps, mpd=endless, start_s=0.0, data=0,
+              priorities=1):
+        cell = Cell(CellConfig(step_s=0.02))
+        for i in range(videos):
+            ue = UserEquipment(StaticItbsChannel(5 + i % 8))
+            cell.add_video_flow(ue, mpd, Festive(), PlayerConfig(
+                request_threshold_s=12.0, start_time_s=start_s))
+        for _ in range(data):
+            cell.add_data_flow(UserEquipment(StaticItbsChannel(9)))
+        for k, flow in enumerate(cell.flows):
+            if gbr_bps and (flow.flow_id in cell.players or not permuted):
+                cell.registry.deregister(flow.flow_id)
+                cell.registry.register(flow.flow_id, BearerQos(
+                    gbr_bps=gbr_bps, priority=k % priorities))
+        sampler = MetricsSampler(interval_s=1.0)
+        cell.add_controller(sampler)
+        return cell, sampler
+
+    cells = {
+        "exhaust": build(40, 4_000_000.0),
+        "fill": build(36, 150_000.0, data=2,
+                      priorities=3 if permuted else 1),
+        "cross": build(30, 0.0 if permuted else 100_000.0, mpd=short),
+        "idle": build(4, 100_000.0, start_s=12.0),
+        "hooked": build(30, 100_000.0),
+        "tuned": build(36, 100_000.0),
+    }
+    cells["hooked"][0].add_controller(_HookAt(), first_fire_s=5.0)
+    cells["tuned"][0].add_controller(_GbrRetune())
+    return cells
+
+
+def batch_outputs(cells, duration_s):
+    """Per cell: (report, sampler series, buffer traces)."""
+    out = {}
+    for name, (cell, sampler) in cells.items():
+        out[name] = (
+            dump_cell_report(collect_cell_report(cell, sampler,
+                                                 duration_s)),
+            {table: {fid: series.items()
+                     for fid, series in sorted(getattr(
+                         sampler, table).items())}
+             for table in ("throughput_bps", "buffer_s", "bitrate_bps")},
+            [player.buffer_trace for player in cell.players.values()])
+    return out
+
+
 class TestVectorLane:
     """The numpy MAC lane == the scalar fast path == lockstep."""
+
+    EPOCHS = (10.0, 20.0, 30.0)
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_stacked_sweep_matches_alone_and_lockstep(self, permuted,
+                                                      monkeypatch):
+        with kernel_mode(False):
+            cells = lockstep_batch(permuted)
+            for until in self.EPOCHS:
+                advance_cells_lockstep([c for c, _ in cells.values()],
+                                       until)
+            reference = batch_outputs(cells, self.EPOCHS[-1])
+        with kernel_mode(True):
+            cells = lockstep_batch(permuted)
+            for until in self.EPOCHS:
+                for cell, _ in cells.values():
+                    cell.run(until)
+            alone = batch_outputs(cells, self.EPOCHS[-1])
+
+        sweeps, chains, fills, exits = [], [], [], []
+        in_sweep = [False]
+        orig_sweep = kernel_mod._VecStack.sweep
+        orig_chain = TtiKernel._gbr_chain
+        orig_fill = kernel_mod._waterfill
+        orig_flush = TtiKernel._vec_flush
+
+        def spy_sweep(stack, kernels):
+            sweeps.append([kernel._cell for kernel in kernels])
+            in_sweep[0] = True
+            try:
+                return orig_sweep(stack, kernels)
+            finally:
+                in_sweep[0] = False
+
+        def spy_chain(asks, remaining):
+            result = orig_chain(asks, remaining)
+            chains.append((len(asks), result[0]))
+            return result
+
+        def spy_fill(budget, caps, weights):
+            if in_sweep[0]:
+                fills.append(len(caps))
+            return orig_fill(budget, caps, weights)
+
+        def spy_flush(kernel):
+            if kernel._vec_hot:
+                exits.append((kernel._cell, kernel._cell.now_s))
+            return orig_flush(kernel)
+
+        monkeypatch.setattr(kernel_mod._VecStack, "sweep", spy_sweep)
+        monkeypatch.setattr(TtiKernel, "_gbr_chain",
+                            staticmethod(spy_chain))
+        monkeypatch.setattr(kernel_mod, "_waterfill", spy_fill)
+        monkeypatch.setattr(TtiKernel, "_vec_flush", spy_flush)
+        with kernel_mode(True):
+            cells = lockstep_batch(permuted)
+            batch = [c for c, _ in cells.values()]
+            lanes = LaneSteps()
+            fast = [run_cells(batch, until, lanes)
+                    for until in self.EPOCHS]
+            stacked = batch_outputs(cells, self.EPOCHS[-1])
+        monkeypatch.undo()
+
+        assert stacked == alone
+        assert stacked == reference
+        # Every case the batch is meant to cover actually happened.
+        hooked = cells["hooked"][0]
+        assert fast == [5, 5, 5], "the hooked cell must decline"
+        assert hooked._step_hooks
+        assert cells["idle"][0]._kernel.fast_forwarded_steps > 0
+        both = {cells["exhaust"][0], cells["fill"][0]}
+        assert any(both <= set(group) for group in sweeps)
+        assert max(len(group) for group in sweeps) >= 2
+        assert any(cut < n for n, cut in chains), "no GBR exhaustion"
+        assert any(n > 1 for n in fills), "no multi-candidate waterfill"
+        cross = cells["cross"][0]
+        assert any(cell is cross and now not in self.EPOCHS
+                   for cell, now in exits), "no mid-epoch lane exit"
+        tuned = cells["tuned"][0]
+        assert tuned.registry.version > len(tuned.flows) * 2
+        assert lanes.swept_cells == lanes.vector > lanes.sweeps > 0
+        assert lanes.scalar > 0
+
+    def test_lane_counts_exact_across_shards_and_repeats(self):
+        plan = dense_plan(0)
+        one, _ = run_reports(plan, 30.0, shards=1)
+        again, _ = run_reports(plan, 30.0, shards=1)
+        two, _ = run_reports(plan, 30.0, shards=2)
+        assert one.lane_steps == again.lane_steps
+        assert one.lane_steps.vector > 0 and one.lane_steps.scalar > 0
+        assert ((one.lane_steps.vector, one.lane_steps.scalar)
+                == (two.lane_steps.vector, two.lane_steps.scalar))
+        # One shard sweeps both cells together; two shards sweep each
+        # alone, so only the sweep counts differ.
+        assert one.lane_steps.swept_cells == two.lane_steps.swept_cells
+        assert one.lane_steps.sweeps < two.lane_steps.sweeps
 
     @pytest.mark.parametrize("seed,shards", [(0, 2), (3, 2)])
     def test_vec_scalar_lockstep_sharded_identical(self, seed, shards,
@@ -324,17 +522,19 @@ class TestVectorLane:
         monkeypatch.setattr(kernel_mod, "_VEC_DISABLED", False)
 
         engaged = []
-        orig_step = TtiKernel._vec_step
+        orig_sweep = kernel_mod._VecStack.sweep
 
-        def perturbing_step(kernel, now, end, step_s):
+        def perturbing_sweep(stack, kernels):
             engaged.append(True)
             # Skew the in-lane congestion windows by 0.1% per step: a
             # small relative error in one vector-lane operand, of the
             # kind a wrong dtype or a reordered reduction produces.
-            kernel._v_cwnd *= 1.0 + 1e-3
-            return orig_step(kernel, now, end, step_s)
+            for kernel in kernels:
+                kernel._v_cwnd *= 1.0 + 1e-3
+            return orig_sweep(stack, kernels)
 
-        monkeypatch.setattr(TtiKernel, "_vec_step", perturbing_step)
+        monkeypatch.setattr(kernel_mod._VecStack, "sweep",
+                            perturbing_sweep)
         _, perturbed = run_reports(plan, 30.0, shards=1)
         assert engaged, "vector lane never engaged; raise ues_per_cell"
         assert perturbed != scalar
@@ -353,6 +553,28 @@ class TestVectorLane:
             _, sharded = run_reports(plan, 30.0, shards=4)
         assert ref == batched
         assert batched == sharded
+
+
+class TestShardFailure:
+    def test_killed_worker_error_names_shard_and_epoch(self, monkeypatch):
+        # Shard 1's worker SIGKILLs itself when asked to run epoch 2
+        # (4 s -> 6 s).  Workers are forked after the patch, so they
+        # inherit it; the parent must say which shard died, how, what
+        # it was waiting for, and in which epoch.
+        original = NetworkShard.advance
+
+        def advance(shard, epoch_end_s, penalties, lockstep=False):
+            if 3 in shard.cell_ids and epoch_end_s > 5.0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(shard, epoch_end_s, penalties, lockstep)
+
+        monkeypatch.setattr(NetworkShard, "advance", advance)
+        with pytest.raises(
+                ShardPoolError,
+                match=r"shard 1 worker died \(exitcode -9\) with "
+                      r"'advance' pending: .* \[epoch 2, ending at "
+                      r"t=6 s\]"):
+            Network(small_plan()).run(10.0, shards=2)
 
 
 class TestChannelPriming:

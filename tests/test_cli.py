@@ -228,12 +228,19 @@ class TestMetroCommand:
         stdout = capsys.readouterr().out
         assert "shards" in stdout
         assert "speedup" in stdout
+        assert "cells/sweep" in stdout
         record = json.loads(
             (isolated_artifacts / "bench"
              / "BENCH_metro.json").read_text())
         scaling = record["scaling"]
         assert scaling["cells"] == 4
         assert [row["shards"] for row in scaling["rows"]] == [1, 2]
+        one, two = (row["lane_steps"] for row in scaling["rows"])
+        assert set(one) == {"vector", "scalar", "sweeps", "swept_cells"}
+        # Lane counts are exact work counts: sharding moves no step.
+        assert (one["vector"], one["scalar"]) == (two["vector"],
+                                                  two["scalar"])
+        assert one["scalar"] > 0
         assert record["wall_time_s"] > 0
         assert record["total_cells"] == 8  # 4 cells x 2 shard counts
 
